@@ -1,4 +1,5 @@
-//! city_scale — the sharded event loop at city scale (≥100k radios).
+//! city_scale — the event loop at city scale (≥100k radios), serial
+//! and with the parallel burst executor.
 //!
 //! City-wide topology: radios on a uniform 30 m grid covering ~9.5 km
 //! per side. Every 25th grid position (a 150 m AP lattice) carries an
@@ -8,15 +9,14 @@
 //! first simulated seconds are the busiest this world ever gets: every
 //! station sweeps channels, then the auth/assoc exchanges pile onto the
 //! APs while beacons keep firing in 100 ms lockstep — exactly the
-//! synchronized completion bursts the sharded loop's parallel plan
-//! phase feeds on.
+//! synchronized completion bursts the parallel executor feeds on.
 //!
-//! Protocol: run the world serially, then re-run it under 2 and 8
-//! shards and **assert the MAC trace and medium counters are
-//! bit-identical before reporting any number**. Only then print
-//! events/s for each mode and the sharded-vs-serial speedup. A sharded
-//! run that diverges by one bit is a correctness bug, not a data point
-//! (DESIGN.md §15).
+//! Protocol: run the world serially, then re-run it with the parallel
+//! burst executor (`set_shards(2)`) and **assert the MAC trace and
+//! medium counters are bit-identical before reporting any number**.
+//! Only then print events/s for each mode and the parallel-vs-serial
+//! speedup. A parallel run that diverges by one bit is a correctness
+//! bug, not a data point (DESIGN.md §15).
 //!
 //! Results go to `BENCH_city_scale.json` at the workspace root so CI
 //! can archive the perf trajectory per PR. `-- --test` runs a
@@ -30,7 +30,7 @@ use std::time::Instant;
 use rogue_core::world::World;
 use rogue_dot11::{ApConfig, MacAddr, StaConfig};
 use rogue_phy::{MediumParams, Pos};
-use rogue_sim::{Seed, SimDuration, SimTime};
+use rogue_sim::{Seed, SimTime};
 
 /// Grid pitch in metres (decode horizon at 15 dBm is ~200 m).
 const PITCH_M: f64 = 30.0;
@@ -40,14 +40,11 @@ const AP_STRIDE: usize = 5;
 
 /// One measured run.
 struct Mode {
-    label: String,
-    shards: usize,
+    label: &'static str,
     events: u64,
     elapsed_s: f64,
     events_per_sec: f64,
-    windows: u64,
     plans_parallel: u64,
-    plans_stale: u64,
     fingerprint: (u64, usize, u64, u64, u64),
     profile: rogue_sim::profile::Snapshot,
 }
@@ -109,11 +106,10 @@ fn build(side: usize, seed: Seed) -> World {
 
 /// Run one mode to `horizon` and fingerprint everything observable:
 /// the full MAC event trace plus the medium's counters.
-fn run(side: usize, shards: usize, horizon: SimTime, seed: Seed) -> Mode {
+fn run(side: usize, parallel: bool, horizon: SimTime, seed: Seed) -> Mode {
     let mut w = build(side, seed);
-    if shards > 1 {
-        w.set_shards(shards);
-        w.set_shard_window(SimDuration::from_millis(1));
+    if parallel {
+        w.set_shards(2);
     }
     let start = Instant::now();
     w.run_until(horizon);
@@ -124,24 +120,12 @@ fn run(side: usize, shards: usize, horizon: SimTime, seed: Seed) -> Mode {
         (t.as_nanos(), n.0, format!("{e:?}")).hash(&mut h);
     }
     let events = w.events_dispatched();
-    let (windows, planned, stale) = (
-        w.metrics.counter("sim.windows"),
-        w.metrics.counter("sim.plans_parallel"),
-        w.metrics.counter("sim.plans_stale"),
-    );
     Mode {
-        label: if shards > 1 {
-            format!("sharded x{shards}")
-        } else {
-            "serial".to_string()
-        },
-        shards,
+        label: if parallel { "parallel" } else { "serial" },
         events,
         elapsed_s: elapsed,
         events_per_sec: events as f64 / elapsed,
-        windows,
-        plans_parallel: planned,
-        plans_stale: stale,
+        plans_parallel: w.metrics.counter("sim.plans_parallel"),
         fingerprint: (
             h.finish(),
             w.mac_events.len(),
@@ -157,9 +141,7 @@ fn run(side: usize, shards: usize, horizon: SimTime, seed: Seed) -> Mode {
 /// `{ns, count}` rows plus the measured probe overhead (the acceptance
 /// budget is overhead_permille ≤ 20, i.e. ≤ 2 % of dispatch time).
 ///
-/// Sharded runs also carry `per_shard` — one row set per queue shard,
-/// covering the work whose owning shard is known. All `ns` figures are
-/// *cumulative worker time*: on a multi-thread pool the `deliver`,
+/// All `ns` figures are *cumulative worker time*: on a multi-thread pool the `deliver`,
 /// `poll` and `medium_plan` rows sum time across rayon workers and can
 /// exceed the run's wall clock. `exec_wall` is the exception — it is
 /// wall time of the parallel exec regions measured from the
@@ -173,21 +155,13 @@ fn profile_json(p: &rogue_sim::profile::Snapshot) -> String {
             .collect::<Vec<_>>()
             .join(", ")
     };
-    let per_shard = p
-        .per_shard
-        .iter()
-        .enumerate()
-        .map(|(s, rows)| format!("\"shard{s}\": {{{}}}", row_set(rows)))
-        .collect::<Vec<_>>()
-        .join(", ");
     format!(
         concat!(
-            "{{\"phases\": {{{}}}, \"kinds\": {{{}}}, \"per_shard\": {{{}}}, ",
+            "{{\"phases\": {{{}}}, \"kinds\": {{{}}}, ",
             "\"overhead_ns\": {}, \"dispatch_ns\": {}, \"overhead_permille\": {}}}"
         ),
         row_set(&p.phases),
         row_set(&p.kinds),
-        per_shard,
         p.overhead_ns,
         p.dispatch_ns,
         p.overhead_permille(),
@@ -201,13 +175,12 @@ fn write_json(path: &std::path::Path, radios: usize, horizon_ms: u64, modes: &[M
         .map(|m| {
             format!(
                 concat!(
-                    "    {{\"mode\": \"{}\", \"shards\": {}, \"events\": {}, ",
+                    "    {{\"mode\": \"{}\", \"events\": {}, ",
                     "\"elapsed_s\": {:.3}, \"events_per_sec\": {:.0}, ",
                     "\"speedup_vs_serial\": {:.2}, \"bit_identical\": true,\n",
                     "     \"profile\": {}}}"
                 ),
                 m.label,
-                m.shards,
                 m.events,
                 m.elapsed_s,
                 m.events_per_sec,
@@ -255,7 +228,7 @@ fn main() {
     let seed = Seed(0xC17);
 
     println!("city_scale ({radios} radios, {PITCH_M} m pitch, {horizon_ms} ms simulated)");
-    let serial = run(side, 1, horizon, seed);
+    let serial = run(side, false, horizon, seed);
     println!(
         "  {:<11} {:>9} events in {:>6.2}s   {:>10.0} events/s",
         serial.label, serial.events, serial.elapsed_s, serial.events_per_sec
@@ -273,30 +246,24 @@ fn main() {
         serial.profile.overhead_permille()
     );
 
-    let mut modes = vec![serial];
-    let shard_counts: &[usize] = &[2, 8];
-    for &shards in shard_counts {
-        let m = run(side, shards, horizon, seed);
-        // The gate: no number is reported unless the sharded trace is
-        // byte-for-byte the serial trace.
-        assert_eq!(
-            m.fingerprint, modes[0].fingerprint,
-            "shards={shards} diverged from serial — sharding must be bit-identical"
-        );
-        assert_eq!(m.events, modes[0].events, "event counts diverged");
-        println!(
-            "  {:<11} {:>9} events in {:>6.2}s   {:>10.0} events/s   {:.2}x vs serial (bit-identical; {} windows, {} plans parallel, {} stale)",
-            m.label,
-            m.events,
-            m.elapsed_s,
-            m.events_per_sec,
-            m.events_per_sec / modes[0].events_per_sec,
-            m.windows,
-            m.plans_parallel,
-            m.plans_stale,
-        );
-        modes.push(m);
-    }
+    let m = run(side, true, horizon, seed);
+    // The gate: no number is reported unless the parallel trace is
+    // byte-for-byte the serial trace.
+    assert_eq!(
+        m.fingerprint, serial.fingerprint,
+        "parallel dispatch diverged from serial — it must be bit-identical"
+    );
+    assert_eq!(m.events, serial.events, "event counts diverged");
+    println!(
+        "  {:<11} {:>9} events in {:>6.2}s   {:>10.0} events/s   {:.2}x vs serial (bit-identical; {} frozen plans)",
+        m.label,
+        m.events,
+        m.elapsed_s,
+        m.events_per_sec,
+        m.events_per_sec / serial.events_per_sec,
+        m.plans_parallel,
+    );
+    let modes = [serial, m];
 
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_city_scale.json");
     write_json(&path, radios, horizon_ms, &modes);

@@ -33,12 +33,12 @@ use rogue_dot11::sta::{StaMac, StaState};
 use rogue_dot11::{ApConfig, MacAddr, StaConfig};
 use rogue_netstack::ethernet::EthFrame;
 use rogue_netstack::{Host, IfIndex, Ipv4Addr};
-use rogue_phy::{Bitrate, Medium, MediumParams, Pos, RadioId, RegionMap, TxHandle, TxPlan};
+use rogue_phy::{Bitrate, Medium, MediumParams, Pos, RadioId, TxHandle, TxPlan};
 use rogue_services::apps::{App, AppEvent};
 use rogue_sim::profile::{self, Phase, Profiler};
 use rogue_sim::queue::EventId;
 use rogue_sim::trace::Metrics;
-use rogue_sim::{Seed, ShardedQueue, SimDuration, SimRng, SimTime};
+use rogue_sim::{EventQueue, Seed, SimDuration, SimRng, SimTime};
 use rogue_vpn::{VpnClient, VpnServer};
 
 /// Identifies a node in the world.
@@ -170,7 +170,7 @@ struct Node {
     /// instead of leaving a redundant entry behind. Invariant: `Some`
     /// exactly while `scheduled_poll != FOREVER`, and the entry fires at
     /// `scheduled_poll`.
-    poll_event: Option<(usize, EventId)>,
+    poll_event: Option<EventId>,
 }
 
 /// A deferred shared-state effect produced by node-local event work.
@@ -412,8 +412,12 @@ impl NodeCtx<'_> {
             if tun.iface == ifx {
                 let mut binding = self.node.tun.take().expect("just checked");
                 match &mut binding.role {
-                    TunRole::Client(c) => c.consume_tun_frame(self.now, &mut self.node.host, &bytes),
-                    TunRole::Server(s) => s.consume_tun_frame(self.now, &mut self.node.host, &bytes),
+                    TunRole::Client(c) => {
+                        c.consume_tun_frame(self.now, &mut self.node.host, &bytes)
+                    }
+                    TunRole::Server(s) => {
+                        s.consume_tun_frame(self.now, &mut self.node.host, &bytes)
+                    }
                 }
                 self.node.tun = Some(binding);
                 return;
@@ -429,14 +433,10 @@ impl NodeCtx<'_> {
             return;
         }
         // Wireless NIC?
-        let radio = self
-            .node
-            .radios
-            .iter()
-            .position(|rb| match &rb.role {
-                RadioRole::Sta { iface, .. } | RadioRole::ApLocal { iface, .. } => *iface == ifx,
-                _ => false,
-            });
+        let radio = self.node.radios.iter().position(|rb| match &rb.role {
+            RadioRole::Sta { iface, .. } | RadioRole::ApLocal { iface, .. } => *iface == ifx,
+            _ => false,
+        });
         if let Some(r) = radio {
             let Some(eth) = EthFrame::decode(&bytes) else {
                 return;
@@ -505,8 +505,6 @@ enum TaskKind {
 }
 
 struct Task {
-    /// Index of the owning event within the burst prefix.
-    event: u32,
     /// The node whose state this task mutates — the partition key.
     node: u32,
     kind: TaskKind,
@@ -525,6 +523,20 @@ struct NodesView {
 }
 unsafe impl Send for NodesView {}
 unsafe impl Sync for NodesView {}
+
+impl NodesView {
+    /// Node `i` of the slab. Taking `self` whole (not its raw-pointer
+    /// field) is what makes a closure calling this capture the `Send`
+    /// view rather than the bare pointer.
+    ///
+    /// # Safety
+    ///
+    /// `i` is in bounds of the viewed slab, and no other reference to
+    /// node `i` is live while the returned one is.
+    unsafe fn node<'a>(self, i: usize) -> &'a mut Node {
+        &mut *self.ptr.add(i)
+    }
+}
 
 thread_local! {
     /// Per-worker pooled buffers for parallel burst execution.
@@ -564,25 +576,13 @@ struct Switch {
 pub struct World {
     /// The shared radio medium.
     pub medium: Medium,
-    queue: ShardedQueue<Event>,
-    /// Spatial shard ownership, built lazily from the radio extent on
-    /// the first sharded `run_until`. `None` while single-sharded or
-    /// before the first run.
-    region_map: Option<RegionMap>,
-    /// Lockstep window width for the sharded loop. Purely a batching
-    /// knob: correctness is guarded by the medium's channel-version
-    /// conflict detection, so any width yields bit-identical output.
-    window: SimDuration,
-    /// Shard whose event is currently being dispatched (0 while idle or
-    /// single-sharded); a schedule targeting a different shard is a
-    /// boundary crossing.
-    current_shard: usize,
-    sim_windows: u64,
-    sim_boundary_crossings: u64,
+    queue: EventQueue<Event>,
+    /// Run large same-instant bursts through the parallel executor
+    /// (DESIGN.md §15). Off by default; output is bit-identical either
+    /// way.
+    parallel: bool,
+    /// Completion plans frozen and committed by the parallel executor.
     sim_plans_parallel: u64,
-    sim_plans_committed: u64,
-    sim_plans_stale: u64,
-    sim_shard_occupancy_max: u64,
     nodes: Vec<Node>,
     switches: Vec<Switch>,
     radio_owner: Vec<(usize, usize)>, // RadioId.0 -> (node, radio idx)
@@ -600,6 +600,8 @@ pub struct World {
     ops_scratch: Vec<Op>,
     node_scratch: NodeScratch,
     touched_scratch: Vec<usize>,
+    /// Events drained at the current instant (reused across bursts).
+    burst_scratch: Vec<Event>,
     /// Node → chain index during parallel burst construction
     /// (`u32::MAX` = unassigned); sized to the node count, entries
     /// reset after every burst so no O(nodes) clear on the hot path.
@@ -617,13 +619,15 @@ pub struct World {
 /// [`with_default_shards`].
 static DEFAULT_SHARDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
 
-/// Run `f` with every [`World::new`] in scope starting at `n` event-loop
-/// shards, restoring the previous default afterwards (panic-safe).
-/// Sharding is bit-identical by construction, so this knob exists for
-/// exactly one purpose: letting the determinism suite re-render whole
-/// experiment reports — whose drivers build worlds internally — under
-/// shard counts the drivers never ask for. Concurrent scopes are
-/// serialized by a global lock, like [`rayon::with_num_threads`].
+/// Run `f` with every [`World::new`] in scope starting as if
+/// [`World::set_shards`]`(n)` had been called — `n ≥ 2` selects the
+/// parallel burst executor — restoring the previous default afterwards
+/// (panic-safe). The executor is bit-identical by construction, so
+/// this knob exists for exactly one purpose: letting the determinism
+/// suite re-render whole experiment reports — whose drivers build
+/// worlds internally — in a mode the drivers never ask for. Concurrent
+/// scopes are serialized by a global lock, like
+/// [`rayon::with_num_threads`].
 pub fn with_default_shards<R>(n: usize, f: impl FnOnce() -> R) -> R {
     use std::sync::atomic::Ordering;
     static SCOPE: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -651,16 +655,9 @@ impl World {
         ];
         World {
             medium: Medium::new(params, Seed(rng.next_u64())),
-            queue: ShardedQueue::new(DEFAULT_SHARDS.load(std::sync::atomic::Ordering::Relaxed)),
-            region_map: None,
-            window: SimDuration::from_millis(1),
-            current_shard: 0,
-            sim_windows: 0,
-            sim_boundary_crossings: 0,
+            queue: EventQueue::new(),
+            parallel: DEFAULT_SHARDS.load(std::sync::atomic::Ordering::Relaxed) > 1,
             sim_plans_parallel: 0,
-            sim_plans_committed: 0,
-            sim_plans_stale: 0,
-            sim_shard_occupancy_max: 0,
             nodes: Vec::new(),
             switches: Vec::new(),
             radio_owner: Vec::new(),
@@ -671,6 +668,7 @@ impl World {
             ops_scratch: Vec::new(),
             node_scratch: NodeScratch::default(),
             touched_scratch: Vec::new(),
+            burst_scratch: Vec::new(),
             chain_map: Vec::new(),
             mac_events: Vec::new(),
             app_events: Vec::new(),
@@ -1067,47 +1065,21 @@ impl World {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Partition the event loop into `n` spatial shards (DESIGN.md §15).
-    ///
-    /// Must be called before the first `run_until`. Events already
-    /// queued during setup migrate into the new layout with their
-    /// sequence numbers preserved, so any shard count yields
-    /// **bit-identical** output to `n == 1` — events always dispatch in
-    /// global `(time, seq)` order; sharding only batches the read-only
-    /// SINR planning of each lockstep window onto the rayon pool.
+    /// Select the dispatch mode: `n ≥ 2` hands large same-instant
+    /// bursts to the parallel executor (DESIGN.md §15), `n ≤ 1` keeps
+    /// every dispatch on the calling thread. Only that threshold is
+    /// read — the count itself names no partition. Output is
+    /// **bit-identical** either way: events always dispatch in
+    /// `(time, seq)` order and shared-state effects commit in that
+    /// order. May be called at any time between runs.
     pub fn set_shards(&mut self, n: usize) {
-        assert!(
-            self.queue.dispatched() == 0,
-            "set_shards must run before the first run_until"
-        );
-        let old = std::mem::replace(&mut self.queue, ShardedQueue::new(n));
-        self.region_map = None;
-        self.ensure_region_map();
-        for (at, seq, ev) in old.into_entries() {
-            let shard = self.shard_for(&ev);
-            let poll_node = match &ev {
-                Event::NodePoll { node } => Some(*node as usize),
-                _ => None,
-            };
-            let id = self.queue.schedule_at_seq(shard, at, seq, ev);
-            // Pending-poll handles point into the old queue's shards;
-            // rebind them to the migrated entries.
-            if let Some(node) = poll_node {
-                self.nodes[node].poll_event = Some((shard, id));
-            }
-        }
+        self.parallel = n > 1;
     }
 
-    /// Number of event-loop shards (1 = classic serial loop).
-    pub fn shards(&self) -> usize {
-        self.queue.num_shards()
-    }
-
-    /// Width of the conservative lockstep window used by the sharded
-    /// loop. A batching knob only — any width is bit-identical.
-    pub fn set_shard_window(&mut self, window: SimDuration) {
-        self.window = window;
-    }
+    /// Has no effect. The event loop drains one instant at a time and
+    /// has no window to size; the call is kept so existing drivers
+    /// that still pass a width keep compiling.
+    pub fn set_shard_window(&mut self, _window: SimDuration) {}
 
     /// Total events dispatched through the loop so far (the events/s
     /// numerator in the scaling benches).
@@ -1115,99 +1087,49 @@ impl World {
         self.queue.dispatched()
     }
 
-    /// Region ownership of an event: the stripe of the position whose
-    /// state its dispatch touches first. Stable for the whole run once
-    /// the region map exists; shard 0 before that (setup-time events).
-    fn shard_for(&self, ev: &Event) -> usize {
-        let Some(map) = &self.region_map else {
-            return 0;
-        };
-        let node = match ev {
-            Event::TxComplete { tx } => return map.region_of(self.medium.tx_src_pos(*tx)),
-            Event::NodePoll { node } => *node,
-            Event::WireDeliver(f) => f.node,
-            Event::BridgeDeliver(f) => f.node,
-            Event::TapDeliver(f) => f.node,
-        };
-        self.nodes[node as usize]
-            .radios
-            .first()
-            .map(|rb| map.region_of(self.medium.pos(rb.radio)))
-            .unwrap_or(0)
-    }
-
-    /// Schedule `ev`, routing it to its owning shard and counting
-    /// boundary crossings: schedules landing on a different shard than
-    /// the one currently dispatching, plus completions whose audible
-    /// disc spills across a stripe edge.
-    fn schedule_event(&mut self, at: SimTime, ev: Event) -> (usize, EventId) {
-        let shard = self.shard_for(&ev);
-        if self.queue.num_shards() > 1 {
-            if shard != self.current_shard {
-                self.sim_boundary_crossings += 1;
-            } else if let (Event::TxComplete { tx }, Some(map)) = (&ev, &self.region_map) {
-                if map.disc_crosses_region(
-                    self.medium.tx_src_pos(*tx),
-                    self.medium.tx_audible_range_m(*tx),
-                ) {
-                    self.sim_boundary_crossings += 1;
-                }
-            }
-        }
+    fn schedule_event(&mut self, at: SimTime, ev: Event) -> EventId {
         // Probing every insert would dominate the cost being measured;
         // sample 1-in-64 and extrapolate at snapshot time.
         self.sched_count += 1;
-        let id = if self.sched_count & 0x3F == 0 {
+        if self.sched_count & 0x3F == 0 {
             let t0 = profile::now();
-            let id = self.queue.schedule(shard, at, ev);
+            let id = self.queue.schedule(at, ev);
             self.prof.record(Phase::QueueSchedule, t0);
             id
         } else {
-            self.queue.schedule(shard, at, ev)
-        };
-        (shard, id)
-    }
-
-    /// Build the stripe partition from the current radio extent, once,
-    /// on the first sharded run.
-    fn ensure_region_map(&mut self) {
-        if self.region_map.is_some()
-            || self.queue.num_shards() == 1
-            || self.medium.radio_count() == 0
-        {
-            return;
+            self.queue.schedule(at, ev)
         }
-        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        for i in 0..self.medium.radio_count() {
-            let x = self.medium.pos(RadioId(i as u32)).x;
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-        }
-        if !min_x.is_finite() || !max_x.is_finite() {
-            (min_x, max_x) = (0.0, 0.0);
-        }
-        self.region_map = Some(RegionMap::new(self.queue.num_shards(), min_x, max_x));
     }
 
     /// Run until simulated time `deadline`.
+    ///
+    /// The one event loop: drain every event pending at the earliest
+    /// instant `t ≤ deadline`, dispatch them in `(time, seq)` order,
+    /// repeat. Events a dispatch schedules at `t` itself carry higher
+    /// seqs than everything drained, so they form the next burst —
+    /// the global order is exactly that of popping one event at a
+    /// time. In parallel mode the safe prefix of a large burst runs
+    /// through [`Self::run_prefix_parallel`] first.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let mut plans: Vec<(TxHandle, TxPlan)> = Vec::new();
-        if self.queue.num_shards() == 1 {
-            // Classic serial loop: pop-dispatch one event at a time.
-            loop {
-                let t0 = profile::now();
-                let popped = self.queue.pop_until(deadline);
-                self.prof.record(Phase::QueuePop, t0);
-                let Some((now, ev, _)) = popped else { break };
+        let mut burst = std::mem::take(&mut self.burst_scratch);
+        loop {
+            // One probe pair, `burst.len()` pops.
+            let t0 = profile::now();
+            let drained = self.queue.pop_instant_into(deadline, &mut burst);
+            self.prof
+                .record_many(Phase::QueuePop, t0, burst.len() as u64);
+            let Some(t) = drained else { break };
+            if self.parallel {
+                self.run_prefix_parallel(t, &mut burst);
+            }
+            for ev in burst.drain(..) {
                 let kind = self.prof_kinds[event_kind(&ev)];
                 let t0 = profile::now();
-                self.dispatch_event(now, ev, &mut plans);
+                self.dispatch_event(t, ev);
                 self.prof.record_kind(kind, t0);
             }
-        } else {
-            self.ensure_region_map();
-            self.run_windows(deadline, &mut plans);
         }
+        self.burst_scratch = burst;
         // Mirror the medium's counters into the metrics sink so reports
         // and tests read them the same way as the `mac.*` family.
         self.metrics.set("phy.frames_sent", self.medium.frames_sent);
@@ -1242,23 +1164,14 @@ impl World {
         self.metrics.set("vpn.records_sealed", sealed);
         self.metrics.set("vpn.records_opened", opened);
         self.metrics.set("vpn.bytes_copied", copied);
-        // Sharded-loop observability (all zero in the serial loop).
-        // These live beside `phy.*` in the sink but are never rendered
-        // into a golden table: they vary with the shard count while
+        // Parallel-executor observability (zero in serial mode). Never
+        // rendered into a golden table: it varies with the mode while
         // every table must not.
-        self.metrics.set("sim.windows", self.sim_windows);
-        self.metrics
-            .set("sim.boundary_crossings", self.sim_boundary_crossings);
         self.metrics
             .set("sim.plans_parallel", self.sim_plans_parallel);
-        self.metrics
-            .set("sim.plans_committed", self.sim_plans_committed);
-        self.metrics.set("sim.plans_stale", self.sim_plans_stale);
-        self.metrics
-            .set("sim.shard_occupancy_max", self.sim_shard_occupancy_max);
         // Profiler breakdown: wall-clock, so strictly `sim.*` (never in
-        // a golden table, which must be identical across shard counts
-        // and hosts).
+        // a golden table, which must be identical across modes and
+        // hosts).
         let snap = self.profile_snapshot();
         for (i, &(_, ns, _)) in snap.phases.iter().enumerate() {
             self.metrics.set(PROF_PHASE_KEYS[i], ns);
@@ -1287,15 +1200,13 @@ impl World {
 
     /// Could dispatching `ev` emit a `SetChannel` — directly from a
     /// receive, or from the poll that follows? A frozen completion plan
-    /// is only committed unvalidated when no hazard precedes it in the
-    /// burst: a same-instant `begin_tx` provably cannot perturb a
-    /// completion at the same instant (DESIGN §17), but a retune can.
+    /// is only committed when no hazard precedes it in the burst: a
+    /// same-instant `begin_tx` provably cannot perturb a completion at
+    /// the same instant (DESIGN §17), but a retune can.
     fn event_may_retune(&self, now: SimTime, ev: &Event, plan: Option<&TxPlan>) -> bool {
         match ev {
             Event::TxComplete { .. } => {
-                let Some(plan) = plan else {
-                    return true; // unplanned completion: assume the worst
-                };
+                let plan = plan.expect("every burst completion is planned");
                 plan.deliveries().iter().any(|d| {
                     let (node, radio) = self.radio_owner[d.to.0 as usize];
                     let rx = match &self.nodes[node].radios[radio].role {
@@ -1323,41 +1234,34 @@ impl World {
         })
     }
 
-    /// Execute one burst with genuinely parallel node work (DESIGN §17).
+    /// Execute the longest safe prefix of the burst at `t` with node
+    /// work on the rayon pool (DESIGN §17), draining it from `burst`;
+    /// the caller dispatches whatever remains serially.
     ///
     /// Protocol: plan every completion against pre-burst state; split
     /// the burst at the first completion preceded by a retune hazard;
-    /// run the prefix's node work as per-node task chains on the rayon
-    /// pool (shared-state effects deferred as ops); then commit at the
-    /// barrier in global `(time, seq)` order — frozen plan, then that
-    /// event's ops in emission order — which replays the serial
-    /// mutation schedule byte-for-byte. The suffix goes through the
-    /// classic serial validate-or-replan dispatch.
-    ///
-    /// Returns false (burst untouched) when the burst is too small to
-    /// pay for the pool round-trip.
-    fn dispatch_burst_parallel(
-        &mut self,
-        t: SimTime,
-        burst: &mut Vec<(Event, usize)>,
-        plans: &mut Vec<(TxHandle, TxPlan)>,
-    ) -> bool {
+    /// run the prefix's node work as per-node task chains on the pool
+    /// (shared-state effects deferred as ops); then commit at the
+    /// barrier in `(time, seq)` order — frozen plan, then that event's
+    /// ops in emission order — which replays the serial mutation
+    /// schedule byte-for-byte. A prefix too small to pay for the pool
+    /// round-trip (under four events, or one node) is left in place.
+    fn run_prefix_parallel(&mut self, t: SimTime, burst: &mut Vec<Event>) {
         const MIN_PARALLEL_EVENTS: usize = 4;
         if burst.len() < MIN_PARALLEL_EVENTS {
-            return false;
+            return;
         }
         if self.chain_map.len() < self.nodes.len() {
             self.chain_map.resize(self.nodes.len(), u32::MAX);
         }
 
         // Plan every completion in the burst against pre-burst state.
-        // Prefix plans are *frozen* (committed without validation);
-        // suffix plans feed the validate-or-replan path.
-        let mut plans_by_event: Vec<Option<TxPlan>> = burst.iter().map(|_| None).collect();
+        // Prefix plans are *frozen*: committed without revalidation.
+        let mut plans: Vec<Option<TxPlan>> = burst.iter().map(|_| None).collect();
         let todo: Vec<(usize, TxHandle)> = burst
             .iter()
             .enumerate()
-            .filter_map(|(i, (ev, _))| match ev {
+            .filter_map(|(i, ev)| match ev {
                 Event::TxComplete { tx } => Some((i, *tx)),
                 _ => None,
             })
@@ -1365,18 +1269,12 @@ impl World {
         if !todo.is_empty() {
             let t0 = profile::now();
             let medium = &self.medium;
-            let computed: Vec<TxPlan> = if todo.len() > 1 {
-                todo.par_iter()
-                    .map(|&(_, tx)| medium.plan_complete(t, tx))
-                    .collect()
-            } else {
-                todo.iter()
-                    .map(|&(_, tx)| medium.plan_complete(t, tx))
-                    .collect()
-            };
-            self.sim_plans_parallel += computed.len() as u64;
+            let computed: Vec<TxPlan> = todo
+                .par_iter()
+                .map(|&(_, tx)| medium.plan_complete(t, tx))
+                .collect();
             for ((i, _), plan) in todo.iter().zip(computed) {
-                plans_by_event[*i] = Some(plan);
+                plans[*i] = Some(plan);
             }
             self.prof.record(Phase::MediumPlan, t0);
         }
@@ -1385,440 +1283,240 @@ impl World {
         // hazard, and everything after it, must dispatch serially.
         let mut split = burst.len();
         let mut hazard = false;
-        for (i, (ev, _)) in burst.iter().enumerate() {
+        for (i, ev) in burst.iter().enumerate() {
             if hazard && matches!(ev, Event::TxComplete { .. }) {
                 split = i;
                 break;
             }
-            if !hazard && self.event_may_retune(t, ev, plans_by_event[i].as_ref()) {
+            if !hazard && self.event_may_retune(t, ev, plans[i].as_ref()) {
                 hazard = true;
             }
         }
-
-        // A trivial prefix, or one whose work all lands on a single
-        // node, cannot use the pool — demote to all-serial replay
-        // (which still reuses the speculative plans).
         if split < MIN_PARALLEL_EVENTS {
-            split = 0;
-        } else {
-            let mut marks: Vec<usize> = Vec::new();
-            for (i, (ev, _)) in burst.iter().take(split).enumerate() {
-                match ev {
-                    Event::TxComplete { .. } => {
-                        let plan = plans_by_event[i].as_ref().expect("completion was planned");
-                        for d in plan.deliveries() {
-                            let (node, _) = self.radio_owner[d.to.0 as usize];
-                            if self.chain_map[node] == u32::MAX {
-                                self.chain_map[node] = 0;
-                                marks.push(node);
-                            }
-                        }
-                    }
-                    Event::NodePoll { node } => {
-                        let n = *node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                    Event::WireDeliver(f) => {
-                        let n = f.node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                    Event::BridgeDeliver(f) => {
-                        let n = f.node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                    Event::TapDeliver(f) => {
-                        let n = f.node as usize;
-                        if self.chain_map[n] == u32::MAX {
-                            self.chain_map[n] = 0;
-                            marks.push(n);
-                        }
-                    }
-                }
-            }
-            let distinct = marks.len();
-            for n in marks {
-                self.chain_map[n] = u32::MAX;
-            }
-            if distinct < 2 {
-                split = 0;
-            }
+            return;
         }
 
-        if split > 0 {
-            // ---- Build the prefix task list in canonical order. ----
-            let mut tasks: Vec<Task> = Vec::with_capacity(split * 2);
-            // Per prefix event: (shard, kind index, end of its task range).
-            let mut ev_meta: Vec<(usize, usize, u32)> = Vec::with_capacity(split);
-            let mut touched = std::mem::take(&mut self.touched_scratch);
-            for (i, (ev, shard)) in burst.drain(..split).enumerate() {
-                let kind = self.prof_kinds[event_kind(&ev)];
-                let event = i as u32;
-                match ev {
-                    Event::TxComplete { .. } => {
-                        let plan = plans_by_event[i].as_ref().expect("completion was planned");
-                        touched.clear();
-                        for d in plan.deliveries() {
-                            let (node, radio) = self.radio_owner[d.to.0 as usize];
-                            tasks.push(Task {
-                                event,
-                                node: node as u32,
-                                kind: TaskKind::Receive {
-                                    radio: radio as u32,
-                                    bytes: d.bytes.clone(),
-                                    rssi_dbm: d.rssi_dbm,
-                                    channel: d.channel,
-                                },
-                            });
-                            if !touched.contains(&node) {
-                                touched.push(node);
-                            }
-                        }
-                        for &node in &touched {
-                            tasks.push(Task {
-                                event,
-                                node: node as u32,
-                                kind: TaskKind::TouchPoll,
-                            });
+        // ---- Build the prefix task list in canonical order. ----
+        let mut tasks: Vec<Task> = Vec::with_capacity(split * 2);
+        // Per prefix event: (kind index, end of its task range).
+        let mut ev_meta: Vec<(usize, u32)> = Vec::with_capacity(split);
+        let mut touched = std::mem::take(&mut self.touched_scratch);
+        for (i, ev) in burst[..split].iter().enumerate() {
+            match ev {
+                Event::TxComplete { .. } => {
+                    let plan = plans[i].as_ref().expect("completion was planned");
+                    touched.clear();
+                    for d in plan.deliveries() {
+                        let (node, radio) = self.radio_owner[d.to.0 as usize];
+                        tasks.push(Task {
+                            node: node as u32,
+                            kind: TaskKind::Receive {
+                                radio: radio as u32,
+                                bytes: d.bytes.clone(),
+                                rssi_dbm: d.rssi_dbm,
+                                channel: d.channel,
+                            },
+                        });
+                        if !touched.contains(&node) {
+                            touched.push(node);
                         }
                     }
-                    Event::NodePoll { node } => tasks.push(Task {
-                        event,
-                        node,
-                        kind: TaskKind::PollEvent,
-                    }),
-                    Event::WireDeliver(f) => tasks.push(Task {
-                        event,
-                        node: f.node,
-                        kind: TaskKind::HostRx {
-                            iface: f.iface,
-                            bytes: f.bytes,
-                        },
-                    }),
-                    Event::BridgeDeliver(f) => tasks.push(Task {
-                        event,
-                        node: f.node,
-                        kind: TaskKind::BridgeRx {
-                            radio: f.radio,
-                            bytes: f.bytes,
-                        },
-                    }),
-                    Event::TapDeliver(f) => tasks.push(Task {
-                        event,
-                        node: f.node,
-                        kind: TaskKind::Tap { bytes: f.bytes },
-                    }),
+                    for &node in &touched {
+                        tasks.push(Task {
+                            node: node as u32,
+                            kind: TaskKind::TouchPoll,
+                        });
+                    }
                 }
-                ev_meta.push((shard, kind, tasks.len() as u32));
+                Event::NodePoll { node } => tasks.push(Task {
+                    node: *node,
+                    kind: TaskKind::PollEvent,
+                }),
+                Event::WireDeliver(f) => tasks.push(Task {
+                    node: f.node,
+                    kind: TaskKind::HostRx {
+                        iface: f.iface,
+                        bytes: f.bytes.clone(),
+                    },
+                }),
+                Event::BridgeDeliver(f) => tasks.push(Task {
+                    node: f.node,
+                    kind: TaskKind::BridgeRx {
+                        radio: f.radio,
+                        bytes: f.bytes.clone(),
+                    },
+                }),
+                Event::TapDeliver(f) => tasks.push(Task {
+                    node: f.node,
+                    kind: TaskKind::Tap {
+                        bytes: f.bytes.clone(),
+                    },
+                }),
             }
-            touched.clear();
-            self.touched_scratch = touched;
+            ev_meta.push((self.prof_kinds[event_kind(ev)], tasks.len() as u32));
+        }
+        touched.clear();
+        self.touched_scratch = touched;
 
-            // Group tasks into per-node chains (execution units).
-            let mut chains: Vec<Vec<u32>> = Vec::new();
-            for (ti, task) in tasks.iter().enumerate() {
-                let ci = self.chain_map[task.node as usize];
-                if ci == u32::MAX {
-                    self.chain_map[task.node as usize] = chains.len() as u32;
-                    chains.push(vec![ti as u32]);
-                } else {
-                    chains[ci as usize].push(ti as u32);
-                }
+        // Group tasks into per-node chains (execution units).
+        let mut chains: Vec<Vec<u32>> = Vec::new();
+        for (ti, task) in tasks.iter().enumerate() {
+            let ci = self.chain_map[task.node as usize];
+            if ci == u32::MAX {
+                self.chain_map[task.node as usize] = chains.len() as u32;
+                chains.push(vec![ti as u32]);
+            } else {
+                chains[ci as usize].push(ti as u32);
             }
-            for task in &tasks {
-                self.chain_map[task.node as usize] = u32::MAX;
-            }
+        }
+        for task in &tasks {
+            self.chain_map[task.node as usize] = u32::MAX;
+        }
+        // All work on one node cannot use the pool.
+        if chains.len() < 2 {
+            return;
+        }
+        // The tasks now own every input the prefix events carried.
+        burst.drain(..split);
 
-            // ---- Exec: run chains on the pool. Node work never
-            // touches shared state (the mutation-epoch check enforces
-            // the medium half of that claim).
-            let epoch = self.medium.mutation_epoch();
-            let view = NodesView {
-                ptr: self.nodes.as_mut_ptr(),
-            };
-            let tasks_ref = &tasks;
-            let wall0 = profile::now();
-            let results: Vec<Vec<(u32, u64, Vec<Op>)>> = chains
-                .par_iter()
-                .map(|chain| {
-                    // Capture the whole view (not its raw-ptr field) so
-                    // the Send/Sync promises on `NodesView` apply.
-                    let view = view;
-                    EXEC_SCRATCH.with(|cell| {
-                        let scratch = &mut *cell.borrow_mut();
-                        let mut out = Vec::with_capacity(chain.len());
-                        for &ti in chain {
-                            let task = &tasks_ref[ti as usize];
-                            // Safety: this chain is the unique owner of
-                            // `task.node` for the whole region.
-                            let node = unsafe { &mut *view.ptr.add(task.node as usize) };
-                            let mut ops = Vec::new();
-                            let c0 = profile::now();
-                            let mut cx = NodeCtx {
-                                now: t,
-                                idx: task.node as usize,
-                                node,
-                                ops: &mut ops,
-                                scratch,
-                            };
-                            match &task.kind {
-                                TaskKind::Receive {
-                                    radio,
-                                    bytes,
-                                    rssi_dbm,
-                                    channel,
-                                } => cx.receive_on_radio(*radio as usize, bytes, *rssi_dbm, *channel),
-                                TaskKind::TouchPoll => cx.poll_node(),
-                                TaskKind::PollEvent => {
-                                    cx.ops.push(Op::PollFired { node: task.node });
-                                    cx.poll_node();
+        // ---- Exec: run chains on the pool. Node work never
+        // touches shared state (the mutation-epoch check enforces
+        // the medium half of that claim).
+        let epoch = self.medium.mutation_epoch();
+        let view = NodesView {
+            ptr: self.nodes.as_mut_ptr(),
+        };
+        let tasks_ref = &tasks;
+        let wall0 = profile::now();
+        let results: Vec<Vec<(u32, u64, Vec<Op>)>> = chains
+            .par_iter()
+            .map(|chain| {
+                EXEC_SCRATCH.with(|cell| {
+                    let scratch = &mut *cell.borrow_mut();
+                    let mut out = Vec::with_capacity(chain.len());
+                    for &ti in chain {
+                        let task = &tasks_ref[ti as usize];
+                        // SAFETY: `task.node` indexes `self.nodes`, and
+                        // this chain is its unique owner for the whole
+                        // region.
+                        let node = unsafe { view.node(task.node as usize) };
+                        let mut ops = Vec::new();
+                        let c0 = profile::now();
+                        let mut cx = NodeCtx {
+                            now: t,
+                            idx: task.node as usize,
+                            node,
+                            ops: &mut ops,
+                            scratch,
+                        };
+                        match &task.kind {
+                            TaskKind::Receive {
+                                radio,
+                                bytes,
+                                rssi_dbm,
+                                channel,
+                            } => cx.receive_on_radio(*radio as usize, bytes, *rssi_dbm, *channel),
+                            TaskKind::TouchPoll => cx.poll_node(),
+                            TaskKind::PollEvent => {
+                                cx.ops.push(Op::PollFired { node: task.node });
+                                cx.poll_node();
+                            }
+                            TaskKind::HostRx { iface, bytes } => {
+                                cx.node.host.on_link_rx(t, *iface, bytes);
+                                cx.poll_node();
+                            }
+                            TaskKind::BridgeRx { radio, bytes } => {
+                                cx.bridge_wired_rx(*radio as usize, bytes);
+                                cx.poll_node();
+                            }
+                            TaskKind::Tap { bytes } => {
+                                if let Some(mon) = &mut cx.node.wired_monitor {
+                                    mon.inspect(t, bytes);
                                 }
-                                TaskKind::HostRx { iface, bytes } => {
-                                    cx.node.host.on_link_rx(t, *iface, bytes);
-                                    cx.poll_node();
-                                }
-                                TaskKind::BridgeRx { radio, bytes } => {
-                                    cx.bridge_wired_rx(*radio as usize, bytes);
-                                    cx.poll_node();
-                                }
-                                TaskKind::Tap { bytes } => {
-                                    if let Some(mon) = &mut cx.node.wired_monitor {
-                                        mon.inspect(t, bytes);
-                                    }
-                                    if let Some(tap) = &mut cx.node.wire_tap {
-                                        tap.frames.push((t, bytes.clone()));
-                                    }
+                                if let Some(tap) = &mut cx.node.wire_tap {
+                                    tap.frames.push((t, bytes.clone()));
                                 }
                             }
-                            let cycles = profile::now().wrapping_sub(c0);
-                            out.push((ti, cycles, ops));
                         }
-                        out
-                    })
+                        let cycles = profile::now().wrapping_sub(c0);
+                        out.push((ti, cycles, ops));
+                    }
+                    out
                 })
-                .collect();
-            self.prof.record(Phase::ExecWall, wall0);
-            debug_assert_eq!(
-                self.medium.mutation_epoch(),
-                epoch,
-                "parallel node work must not touch the medium"
-            );
+            })
+            .collect();
+        self.prof.record(Phase::ExecWall, wall0);
+        debug_assert_eq!(
+            self.medium.mutation_epoch(),
+            epoch,
+            "parallel node work must not touch the medium"
+        );
 
-            // Merge per-task results back into canonical task order.
-            let ntasks = tasks.len();
-            let mut ops_by_task: Vec<Vec<Op>> = (0..ntasks).map(|_| Vec::new()).collect();
-            let mut cycles_by_task: Vec<u64> = vec![0; ntasks];
-            for chain in results {
-                for (ti, cycles, ops) in chain {
-                    cycles_by_task[ti as usize] = cycles;
-                    ops_by_task[ti as usize] = ops;
-                }
+        // Merge per-task results back into canonical task order.
+        let ntasks = tasks.len();
+        let mut ops_by_task: Vec<Vec<Op>> = (0..ntasks).map(|_| Vec::new()).collect();
+        let mut cycles_by_task: Vec<u64> = vec![0; ntasks];
+        for chain in results {
+            for (ti, cycles, ops) in chain {
+                cycles_by_task[ti as usize] = cycles;
+                ops_by_task[ti as usize] = ops;
             }
-            // Cumulative worker-time attribution, global and per-shard.
-            for (ti, task) in tasks.iter().enumerate() {
-                let phase = match task.kind {
-                    TaskKind::Receive { .. } => Phase::Deliver,
-                    _ => Phase::Poll,
-                };
-                let shard = ev_meta[task.event as usize].0;
-                self.prof.add_cycles(phase, cycles_by_task[ti], 1, 1);
-                self.prof
-                    .add_shard_cycles(shard, phase, cycles_by_task[ti], 1);
-            }
+        }
+        // Cumulative worker-time attribution.
+        for (ti, task) in tasks.iter().enumerate() {
+            let phase = match task.kind {
+                TaskKind::Receive { .. } => Phase::Deliver,
+                _ => Phase::Poll,
+            };
+            self.prof.add_cycles(phase, cycles_by_task[ti], 1, 1);
+        }
 
-            // ---- Barrier: commit in global (time, seq) order. ----
-            let mut task_cursor = 0usize;
-            for (i, &(shard, kind, task_end)) in ev_meta.iter().enumerate() {
-                self.current_shard = shard;
-                let c0 = profile::now();
-                if let Some(plan) = plans_by_event[i].take() {
-                    self.sim_plans_committed += 1;
-                    let t0 = profile::now();
-                    let _ = self.medium.commit_complete(plan);
-                    self.prof.record(Phase::MediumCommit, t0);
-                }
+        // ---- Barrier: commit in (time, seq) order. ----
+        let mut task_cursor = 0usize;
+        for (i, &(kind, task_end)) in ev_meta.iter().enumerate() {
+            let c0 = profile::now();
+            if let Some(plan) = plans[i].take() {
+                self.sim_plans_parallel += 1;
                 let t0 = profile::now();
-                let mut nops = 0u64;
-                while task_cursor < task_end as usize {
-                    nops += ops_by_task[task_cursor].len() as u64;
-                    for op in std::mem::take(&mut ops_by_task[task_cursor]) {
-                        self.commit_op(t, op);
-                    }
-                    task_cursor += 1;
-                }
-                if nops > 0 {
-                    self.prof.record_many(Phase::OpCommit, t0, nops);
-                }
-                let barrier_cycles = profile::now().wrapping_sub(c0);
-                let tstart = if i == 0 { 0 } else { ev_meta[i - 1].2 as usize };
-                let task_cycles: u64 = cycles_by_task[tstart..task_end as usize].iter().sum();
-                self.prof
-                    .add_kind_cycles(kind, barrier_cycles.wrapping_add(task_cycles), 1, 1);
+                let _ = self.medium.commit_complete(plan);
+                self.prof.record(Phase::MediumCommit, t0);
             }
-        }
-
-        // Suffix (the whole burst when split == 0): classic serial
-        // dispatch; speculative plans go through validate-or-replan.
-        for p in plans_by_event.into_iter().flatten() {
-            plans.push((p.handle(), p));
-        }
-        for (ev, shard) in burst.drain(..) {
-            self.current_shard = shard;
-            let kind = self.prof_kinds[event_kind(&ev)];
             let t0 = profile::now();
-            self.dispatch_event(t, ev, plans);
-            self.prof.record_kind(kind, t0);
-        }
-        self.current_shard = 0;
-        debug_assert!(plans.is_empty(), "burst left unconsumed plans");
-        plans.clear();
-        true
-    }
-
-    /// The sharded loop: conservative lockstep windows. Each window
-    /// `[head, head + window]` first *plans* every pending `TxComplete`
-    /// inside it in parallel on the rayon pool (`plan_complete` is pure,
-    /// `&Medium`), then replays all events serially in global
-    /// `(time, seq)` order, committing plans that survived conflict
-    /// checks and transparently replanning the rest. See DESIGN.md §15
-    /// for the bit-identity argument, and §17 for the parallel burst
-    /// executor layered on top.
-    fn run_windows(&mut self, deadline: SimTime, plans: &mut Vec<(TxHandle, TxPlan)>) {
-        // Scratch buffers reused across every burst in the run.
-        let mut burst: Vec<(Event, usize)> = Vec::new();
-        let mut todo: Vec<TxHandle> = Vec::new();
-        // Speculative planning is a bet: compute completions ahead of
-        // the replay and hope the channel-version guard lets them
-        // commit. On a 1-thread pool the bet can never pay — the plans
-        // are computed serially in the same thread that would have run
-        // `complete_tx` anyway, and every stale one is paid for twice.
-        // Plan only when the pool can genuinely overlap the work.
-        let plan_on_pool = rayon::current_num_threads() > 1;
-        self.prof.ensure_shards(self.queue.num_shards());
-        while let Some(head) = self.queue.peek_time() {
-            if head > deadline {
-                break;
+            let mut nops = 0u64;
+            while task_cursor < task_end as usize {
+                nops += ops_by_task[task_cursor].len() as u64;
+                for op in std::mem::take(&mut ops_by_task[task_cursor]) {
+                    self.commit_op(t, op);
+                }
+                task_cursor += 1;
             }
-            let window_end = (head + self.window).min(deadline);
-            self.sim_windows += 1;
-            let occupancy = (0..self.queue.num_shards())
-                .map(|s| self.queue.shard_len(s))
-                .max()
-                .unwrap_or(0) as u64;
-            self.sim_shard_occupancy_max = self.sim_shard_occupancy_max.max(occupancy);
-
-            // Replay the window burst by burst. A burst is every event
-            // pending at one instant `t` — the unit at which parallel
-            // planning actually pays: synchronized completions (beacon
-            // storms, lockstep traffic) land at the same instant, and a
-            // burst cannot invalidate its own plans except through a
-            // same-instant `begin_tx`, which the channel-version guard
-            // catches at commit. Planning any further ahead is wasted
-            // work whenever dispatch triggers responses: each response's
-            // `begin_tx` is a new interferer for every later in-flight
-            // completion, staling the rest of the window wholesale.
-            loop {
-                // Drain the next instant whole. Dispatches may schedule
-                // *new* events at `t` (immediate polls); those carry
-                // higher seqs, so the outer loop picks them up as the
-                // next burst — still in global (time, seq) order. One
-                // probe pair, `burst.len()` pops: the per-pop count must
-                // stay comparable with the serial loop's.
-                let t0 = profile::now();
-                let drained = self.queue.pop_instant_into(window_end, &mut burst);
-                self.prof
-                    .record_many(Phase::QueuePop, t0, burst.len() as u64);
-                let Some(t) = drained else { break };
-
-                // Large bursts take the parallel executor: node work on
-                // the pool, shared effects op-committed at the barrier.
-                if plan_on_pool && self.dispatch_burst_parallel(t, &mut burst, plans) {
-                    continue;
-                }
-
-                // Plan phase: compute this burst's completions on the
-                // pool. A lone completion is planned serially at
-                // dispatch — no pool round-trip for nothing.
-                todo.extend(burst.iter().filter_map(|(ev, _)| match ev {
-                    Event::TxComplete { tx } => Some(*tx),
-                    _ => None,
-                }));
-                if plan_on_pool && todo.len() > 1 {
-                    let t0 = profile::now();
-                    let medium = &self.medium;
-                    let computed: Vec<TxPlan> = todo
-                        .par_iter()
-                        .map(|&tx| medium.plan_complete(t, tx))
-                        .collect();
-                    self.sim_plans_parallel += computed.len() as u64;
-                    plans.extend(computed.into_iter().map(|p| (p.handle(), p)));
-                    self.prof.record(Phase::MediumPlan, t0);
-                }
-
-                todo.clear();
-
-                // Commit phase: strict global (time, seq) replay.
-                for (ev, shard) in burst.drain(..) {
-                    self.current_shard = shard;
-                    let kind = self.prof_kinds[event_kind(&ev)];
-                    let t0 = profile::now();
-                    self.dispatch_event(t, ev, plans);
-                    self.prof.record_kind(kind, t0);
-                }
-                self.current_shard = 0;
-                debug_assert!(plans.is_empty(), "burst left unconsumed plans");
-                plans.clear();
+            if nops > 0 {
+                self.prof.record_many(Phase::OpCommit, t0, nops);
             }
+            let barrier_cycles = profile::now().wrapping_sub(c0);
+            let tstart = if i == 0 { 0 } else { ev_meta[i - 1].1 as usize };
+            let task_cycles: u64 = cycles_by_task[tstart..task_end as usize].iter().sum();
+            self.prof
+                .add_kind_cycles(kind, barrier_cycles.wrapping_add(task_cycles), 1, 1);
         }
     }
 
-    /// Dispatch one event. `plans` holds precomputed completion plans
-    /// from the current lockstep window (always empty in serial mode);
-    /// a plan invalidated by an intervening mutation is recomputed here,
-    /// on the same pure code path the serial loop uses.
-    fn dispatch_event(&mut self, now: SimTime, ev: Event, plans: &mut Vec<(TxHandle, TxPlan)>) {
+    /// Dispatch one event: node work, then its deferred ops in emission
+    /// order. A completion is planned and committed on the spot.
+    fn dispatch_event(&mut self, now: SimTime, ev: Event) {
         let mut ops = std::mem::take(&mut self.ops_scratch);
         let mut scratch = std::mem::take(&mut self.node_scratch);
         debug_assert!(ops.is_empty());
         match ev {
             Event::TxComplete { tx } => {
-                // Bursts are small (usually 0 or 1 plans), so a linear
-                // scan beats hashing the handle.
-                let plan = plans
-                    .iter()
-                    .position(|(h, _)| *h == tx)
-                    .map(|i| plans.swap_remove(i).1);
-                let deliveries = match plan {
-                    Some(plan) if self.medium.plan_is_current(&plan) => {
-                        self.sim_plans_committed += 1;
-                        let t0 = profile::now();
-                        let d = self.medium.commit_complete(plan);
-                        self.prof.record(Phase::MediumCommit, t0);
-                        d
-                    }
-                    stale => {
-                        // complete_tx == plan_complete + commit_complete;
-                        // split here so each phase is attributed.
-                        if stale.is_some() {
-                            self.sim_plans_stale += 1;
-                        }
-                        let t0 = profile::now();
-                        let plan = self.medium.plan_complete(now, tx);
-                        self.prof.record(Phase::MediumPlan, t0);
-                        let t0 = profile::now();
-                        let d = self.medium.commit_complete(plan);
-                        self.prof.record(Phase::MediumCommit, t0);
-                        d
-                    }
-                };
+                // complete_tx == plan_complete + commit_complete; split
+                // here so each phase is attributed.
+                let t0 = profile::now();
+                let plan = self.medium.plan_complete(now, tx);
+                self.prof.record(Phase::MediumPlan, t0);
+                let t0 = profile::now();
+                let deliveries = self.medium.commit_complete(plan);
+                self.prof.record(Phase::MediumCommit, t0);
                 let t0 = profile::now();
                 let mut touched = std::mem::take(&mut self.touched_scratch);
                 debug_assert!(touched.is_empty());
@@ -2043,8 +1741,8 @@ impl World {
     /// ≤ 1-pending-poll-per-node invariant. Callers have already decided
     /// the move is wanted; no earlier-poll gate here.
     fn commit_schedule_poll(&mut self, node: usize, at: SimTime) {
-        if let Some((shard, id)) = self.nodes[node].poll_event.take() {
-            self.queue.cancel_on(shard, id);
+        if let Some(id) = self.nodes[node].poll_event.take() {
+            self.queue.cancel(id);
         }
         self.nodes[node].scheduled_poll = at;
         let handle = self.schedule_event(at, Event::NodePoll { node: node as u32 });

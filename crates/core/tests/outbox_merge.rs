@@ -1,59 +1,57 @@
 //! Property test of the parallel-dispatch contract (DESIGN.md §17): for
-//! ANY cross-shard traffic pattern, the outbox-merge barrier must replay
-//! shared-state effects in exactly the serial `(time, seq)` dispatch
-//! order. The golden reports pin a handful of curated scenarios; this
-//! test lets the generator hunt for the interleaving that breaks the
-//! commit order — same-instant bursts on different shards, frames whose
-//! audible disc straddles a stripe boundary, and mid-window kicks that
-//! mutate the poll queue between lockstep windows.
+//! ANY traffic pattern, the outbox-merge barrier must replay shared-state
+//! effects in exactly the serial `(time, seq)` dispatch order. The golden
+//! reports pin a handful of curated scenarios; this test lets the
+//! generator hunt for the interleaving that breaks the commit order —
+//! same-instant bursts spread over many nodes, frames heard by several
+//! BSSes at once, and kicks that mutate the poll queue between
+//! `run_until` segments.
 //!
 //! Each random `u64` word contributes one station (position, home AP,
 //! staggered start) and one run segment (length + which node gets
-//! kicked mid-stream), so a 6..14-word case exercises 6..14 windowsful
+//! kicked mid-stream), so a 6..14-word case exercises 6..14 segments
 //! of mixed association, DHCP/ARP chatter and poll churn. Stations are
 //! anchored near their AP so every case has live traffic, and two extra
-//! stations are pinned just inside each side of the stripe boundary
-//! (via [`RegionMap::stripe_span`]) so boundary crossings happen in
-//! every case, not just when the generator gets lucky.
+//! stations sit 1 m either side of x = 640 m — between the middle AP and
+//! its neighbours, inside the middle AP's audible disc.
 
 use proptest::prelude::*;
 use rogue_core::world::{with_default_shards, World};
 use rogue_dot11::{ApConfig, MacAddr, StaConfig};
-use rogue_phy::{MediumParams, Pos, RegionMap};
-use rogue_sim::{Seed, SimDuration, SimTime};
+use rogue_phy::{MediumParams, Pos};
+use rogue_sim::{Seed, SimTime};
 use std::net::Ipv4Addr;
 
-/// Three fixed-channel BSSes, one per third of the x-extent. 500 m of
+/// Three fixed-channel BSSes across a 0–1200 m extent. 500 m of
 /// separation keeps the APs mutually inaudible while the ~200 m audible
-/// disc of the middle AP reaches across both 2-region and 3-region
-/// stripe edges.
+/// disc of the middle AP reaches the two edge stations.
 const AP_X: [f64; 3] = [100.0, 600.0, 1100.0];
 const AP_CHANNEL: [u8; 3] = [1, 6, 11];
 const SSID: [&str; 3] = ["NET-A", "NET-B", "NET-C"];
-const EXTENT: (f64, f64) = (0.0, 1200.0);
+/// Where the two edge stations straddle (1 m either side).
+const EDGE_X: f64 = 640.0;
 
-/// Everything the serial and sharded runs must agree on, bit for bit.
+/// Everything the serial and parallel runs must agree on, bit for bit.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     mac_trace: Vec<String>,
+    app_trace: Vec<String>,
+    /// Every metrics counter outside the wall-clock / mode-dependent
+    /// `sim.*` family, in key order.
+    counters: Vec<(&'static str, u64)>,
     frames_sent: u64,
     halfduplex_misses: u64,
     sinr_drops: u64,
     events_dispatched: u64,
-    app_events: usize,
 }
 
 /// Build the word-derived world and run it segment by segment with
-/// mid-window kicks, under `threads` rayon workers and `shards` queue
-/// shards (1 = the serial reference loop).
+/// kicks between segments, under `threads` rayon workers; `shards ≥ 2`
+/// selects the parallel burst executor (1 = the serial reference).
 fn run(words: &[u64], shards: usize, threads: usize) -> Fingerprint {
     rayon::with_num_threads(threads, || {
         with_default_shards(shards, || {
             let mut w = World::new(Seed(0xB0C5), MediumParams::default());
-            if shards > 1 {
-                // Narrow windows so segments span many window barriers.
-                w.set_shard_window(SimDuration::from_micros(500));
-            }
             for i in 0..3 {
                 let ap = w.add_node(SSID[i]);
                 w.add_ap_local_starting_at(
@@ -66,14 +64,8 @@ fn run(words: &[u64], shards: usize, threads: usize) -> Fingerprint {
                     SimTime::from_micros(137 * i as u64),
                 );
             }
-            // Two stations hugging the first interior stripe edge of the
-            // 2-region partition (the map is an approximation of the
-            // world's own radio-extent-derived partition — close enough
-            // that their traffic provably crosses stripes either way).
-            let map = RegionMap::new(2, EXTENT.0, EXTENT.1);
-            let (_, edge) = map.stripe_span(0);
             let mut stas = Vec::new();
-            for (j, x) in [edge - 1.0, edge + 1.0].into_iter().enumerate() {
+            for (j, x) in [EDGE_X - 1.0, EDGE_X + 1.0].into_iter().enumerate() {
                 let n = w.add_node("edge-sta");
                 w.add_sta(
                     n,
@@ -103,8 +95,7 @@ fn run(words: &[u64], shards: usize, threads: usize) -> Fingerprint {
                 stas.push(n);
             }
             // Segmented run: each word picks a segment length and a node
-            // to kick *between* run_until calls, i.e. mid-window from the
-            // sharded loop's point of view.
+            // to kick *between* run_until calls.
             let mut t_us = 0u64;
             for &word in words {
                 t_us += 20_000 + ((word >> 27) & 0xFFFF); // 20..85 ms
@@ -119,11 +110,21 @@ fn run(words: &[u64], shards: usize, threads: usize) -> Fingerprint {
                     .iter()
                     .map(|(t, n, e)| format!("{} {} {:?}", t.as_nanos(), n.0, e))
                     .collect(),
+                app_trace: w
+                    .app_events
+                    .iter()
+                    .map(|(t, n, e)| format!("{} {} {:?}", t.as_nanos(), n.0, e))
+                    .collect(),
+                counters: w
+                    .metrics
+                    .counter_keys()
+                    .filter(|k| !k.starts_with("sim."))
+                    .map(|k| (k, w.metrics.counter(k)))
+                    .collect(),
                 frames_sent: w.medium.frames_sent,
                 halfduplex_misses: w.medium.halfduplex_misses,
                 sinr_drops: w.medium.sinr_drops,
                 events_dispatched: w.events_dispatched(),
-                app_events: w.app_events.len(),
             }
         })
     })
@@ -143,8 +144,8 @@ proptest! {
             baseline
         );
         for (shards, threads) in [(2, 1), (2, 4), (3, 4)] {
-            let sharded = run(&words, shards, threads);
-            prop_assert_eq!(&baseline, &sharded, "shards={} threads={}", shards, threads);
+            let parallel = run(&words, shards, threads);
+            prop_assert_eq!(&baseline, &parallel, "shards={} threads={}", shards, threads);
         }
     }
 }

@@ -707,13 +707,16 @@ impl Host {
         for h in handles {
             self.flush_tcp(now, h);
         }
-        // ARP retries.
-        let due: Vec<Ipv4Addr> = self
+        // ARP retries, in ascending address order: `HashMap` iteration
+        // order differs between maps, and the retries' frame order is
+        // observable on the wire.
+        let mut due: Vec<Ipv4Addr> = self
             .pending_arp
             .iter()
             .filter(|(_, p)| p.deadline <= now)
             .map(|(ip, _)| *ip)
             .collect();
+        due.sort_unstable();
         for ip in due {
             let (ifindex, give_up) = {
                 let p = self.pending_arp.get_mut(&ip).expect("collected above");
@@ -840,6 +843,33 @@ mod tests {
         assert!(a
             .take_events()
             .contains(&HostEvent::ArpFailed { dst: IP_B }));
+    }
+
+    #[test]
+    fn due_arp_retries_leave_in_address_order() {
+        // Every host below is built identically, but each pending-ARP
+        // map hashes with its own random seed: retries sent in map order
+        // would come out in a different order per host.
+        let retry_frames = || {
+            let mut h = Host::new("h", SimRng::new(Seed(3)));
+            h.add_iface(MacAddr::local(1), IP_A, 24);
+            for last in [9, 200, 3, 77, 41, 150, 12, 250] {
+                h.ping(SimTime::ZERO, Ipv4Addr::new(192, 168, 0, last), 1);
+            }
+            h.take_frames();
+            let due = h.next_wake();
+            assert_ne!(due, SimTime::FOREVER, "retries must be pending");
+            h.poll(due);
+            h.take_frames()
+                .into_iter()
+                .map(|(ifx, bytes)| (ifx, bytes.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        let first = retry_frames();
+        assert_eq!(first.len(), 8, "one retry per pending address");
+        for _ in 0..16 {
+            assert_eq!(retry_frames(), first);
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! Lookups go through interior mutability so read-shaped APIs
 //! ([`crate::Medium::rssi_estimate_dbm`], site-audit range predictions)
-//! can fill the cache from `&self`. Since PR 8 the interior mutability
-//! is thread-safe (`Mutex` + atomics, not `RefCell` + `Cell`): the
-//! sharded loop shares `&Medium` across the rayon pool during its
+//! can fill the cache from `&self`. The interior mutability is
+//! thread-safe (`Mutex` + atomics, not `RefCell` + `Cell`): the parallel
+//! burst executor shares `&Medium` across the rayon pool during its
 //! read-only plan phase, which requires `Medium: Sync`. The plan phase
 //! itself never touches the cache — fills happen only in serial code —
 //! and every fill is a pure function of its key, so the swap cannot

@@ -142,9 +142,8 @@ struct Transmission {
     start: SimTime,
     end: SimTime,
     bytes: Bytes,
-    /// Transmitter geometry frozen at begin time: the shard-routing key
-    /// for the completion event, and the anchor of the far-field
-    /// interferer cull in [`Medium::plan_complete`].
+    /// Transmitter geometry frozen at begin time: the anchor of the
+    /// far-field interferer cull in [`Medium::plan_complete`].
     src_pos: Pos,
     tx_power_dbm: f64,
     /// Radios registered later are treated as out of range.
@@ -168,15 +167,8 @@ struct TxSlot {
 /// The precomputed outcome of completing one transmission: the pure,
 /// read-only half of [`Medium::complete_tx`], produced by
 /// [`Medium::plan_complete`] (possibly on another thread) and applied by
-/// [`Medium::commit_complete`].
-///
-/// A plan is valid while the channel-version snapshot it carries still
-/// matches the medium: every mutation that could change a completion
-/// outcome (a new overlapping transmission, a retune, an enable/disable)
-/// bumps the version of the channels it can affect. A stale plan is
-/// simply recomputed — `plan_complete` is a pure function of medium
-/// state, so replanning at commit time reproduces exactly what a serial
-/// execution would have computed.
+/// [`Medium::commit_complete`]. The plan is only valid against the
+/// medium state it was computed from; the caller owns that guarantee.
 #[derive(Debug)]
 pub struct TxPlan {
     handle: TxHandle,
@@ -184,19 +176,9 @@ pub struct TxPlan {
     deliveries: Vec<Delivery>,
     halfduplex_misses: u64,
     sinr_drops: u64,
-    /// `(channel, version)` over the completing tx's interaction span —
-    /// at most [`MAX_SPAN`] channels, held inline so a plan carries no
-    /// bookkeeping allocation.
-    versions: [(u8, u64); MAX_SPAN],
-    nversions: u8,
 }
 
 impl TxPlan {
-    /// The transmission this plan completes.
-    pub fn handle(&self) -> TxHandle {
-        self.handle
-    }
-
     /// The deliveries this plan will produce when committed. The
     /// parallel burst dispatcher reads these *before* the commit point
     /// to build per-node receive tasks from a frozen plan.
@@ -219,9 +201,6 @@ pub struct Delivery {
     /// Rate it was decoded at.
     pub bitrate: Bitrate,
 }
-
-/// Widest possible interaction span: `channel ± (spacing - 1)` channels.
-const MAX_SPAN: usize = 2 * (CHANNEL_SPACING_NONOVERLAP as usize - 1) + 1;
 
 /// Channels whose transmissions can exchange energy with `channel`
 /// (within the 5-channel non-overlap spacing), clamped to 1..=14.
@@ -266,20 +245,11 @@ pub struct Medium {
     prune_src_scratch: Vec<u32>,
     /// Bumped whenever the radio set or any position changes.
     geom_epoch: u64,
-    /// Per-channel mutation counters (index 1..=14), the conflict
-    /// detector for precomputed [`TxPlan`]s: bumped by every mutation
-    /// that can change a pending completion's outcome on that channel —
-    /// `begin_tx` (new interferer / half-duplex source), `set_channel`
-    /// (old and new), `set_enabled`, `add_radio`. Position moves need no
-    /// bump: begin-era power samples are pinned by `set_pos`, so a
-    /// completion's outcome is move-invariant by construction (see the
-    /// `midflight_move_*` tests).
-    channel_versions: [u64; 15],
     /// Bumped by *every* mutating entry point (`add_radio`, `set_pos`,
     /// `set_channel`, `set_enabled`, `begin_tx`, `commit_complete`).
-    /// Unlike `channel_versions` this tracks no semantics — it exists so
-    /// the parallel burst dispatcher can `debug_assert` that its
-    /// read-only execution region really did leave the medium untouched.
+    /// It tracks no semantics — it exists so the parallel burst
+    /// dispatcher can `debug_assert` that its read-only execution region
+    /// really did leave the medium untouched.
     mutation_epoch: u64,
     row_reuses: u64,
     force_dense: bool,
@@ -313,7 +283,6 @@ impl Medium {
             cand_scratch: Vec::new(),
             prune_src_scratch: Vec::new(),
             geom_epoch: 0,
-            channel_versions: [0; 15],
             mutation_epoch: 0,
             row_reuses: 0,
             force_dense: false,
@@ -352,7 +321,6 @@ impl Medium {
         self.by_src.push(Vec::new());
         self.audible_rows.push(None);
         self.geom_epoch += 1;
-        self.channel_versions[channel as usize] += 1;
         self.mutation_epoch += 1;
         RadioId(idx)
     }
@@ -416,13 +384,7 @@ impl Medium {
     /// valid.
     pub fn set_channel(&mut self, id: RadioId, channel: u8) {
         assert!((1..=14).contains(&channel), "invalid 802.11b channel");
-        let old = self.radios[id.0 as usize].channel;
         self.radios[id.0 as usize].channel = channel;
-        // A retune changes which pending completions this radio can
-        // receive (or deafen via half-duplex) — invalidate plans on both
-        // the channel it left and the one it joined.
-        self.channel_versions[old as usize] += 1;
-        self.channel_versions[channel as usize] += 1;
         self.mutation_epoch += 1;
     }
 
@@ -433,10 +395,7 @@ impl Medium {
 
     /// Enable or disable (power off) a radio.
     pub fn set_enabled(&mut self, id: RadioId, enabled: bool) {
-        let r = &mut self.radios[id.0 as usize];
-        r.enabled = enabled;
-        let ch = r.channel;
-        self.channel_versions[ch as usize] += 1;
+        self.radios[id.0 as usize].enabled = enabled;
         self.mutation_epoch += 1;
     }
 
@@ -589,10 +548,6 @@ impl Medium {
         let gen = self.txs[slot as usize].gen;
         self.by_channel[channel as usize].push(slot);
         self.by_src[src.0 as usize].push(slot);
-        // A new in-flight tx is a potential interferer / half-duplex
-        // source for every pending completion within the interaction
-        // span of its channel; their plans must be recomputed.
-        self.channel_versions[channel as usize] += 1;
         self.mutation_epoch += 1;
         self.prune(now);
         (TxHandle { slot, gen }, end)
@@ -611,9 +566,9 @@ impl Medium {
     /// be called exactly once, at the end time returned by `begin_tx`.
     ///
     /// Equivalent to [`Self::plan_complete`] followed immediately by
-    /// [`Self::commit_complete`] — the serial loop and the sharded loop
-    /// run the *same* decision code, which is what makes the sharded
-    /// execution bit-identical by construction.
+    /// [`Self::commit_complete`] — serial dispatch and the parallel
+    /// burst executor run the *same* decision code, which is what makes
+    /// the parallel execution bit-identical by construction.
     pub fn complete_tx(&mut self, now: SimTime, handle: TxHandle) -> Vec<Delivery> {
         let plan = self.plan_complete(now, handle);
         self.commit_complete(plan)
@@ -621,8 +576,8 @@ impl Medium {
 
     /// The pure half of [`Self::complete_tx`]: compute every delivery
     /// and counter delta for the transmission ending at `now`, without
-    /// mutating anything. `&self` only — the sharded loop calls this
-    /// from the rayon pool for all completions in a lockstep window.
+    /// mutating anything. `&self` only — the parallel burst executor
+    /// calls this from the rayon pool for every completion of a burst.
     pub fn plan_complete(&self, now: SimTime, handle: TxHandle) -> TxPlan {
         let tx = self.tx_ref(handle);
         assert!(!tx.completed, "complete_tx called twice");
@@ -633,8 +588,8 @@ impl Medium {
         // ascending-id order — the order the historical full-backlog
         // scan summed interference in (float addition order is
         // observable). The slot list lives in a per-thread scratch
-        // buffer: plan_complete runs on the rayon pool in the sharded
-        // loop, so the scratch must not be shared medium state.
+        // buffer: plan_complete runs on the rayon pool in the burst
+        // executor, so the scratch must not be shared medium state.
         //
         // Far-field cull: every candidate receiver of a sparse tx lies
         // within the tx's audible radius of its (frozen) source, and a
@@ -728,20 +683,12 @@ impl Medium {
                 ),
             }
 
-            let mut versions = [(0u8, 0u64); MAX_SPAN];
-            let mut nversions = 0u8;
-            for ch in interacting_channels(tx_channel) {
-                versions[nversions as usize] = (ch as u8, self.channel_versions[ch]);
-                nversions += 1;
-            }
             TxPlan {
                 handle,
                 end: now,
                 deliveries: out,
                 halfduplex_misses,
                 sinr_drops,
-                versions,
-                nversions,
             }
         })
     }
@@ -826,20 +773,11 @@ impl Medium {
         }
     }
 
-    /// Is `plan` still guaranteed to match what `plan_complete` would
-    /// compute right now? True while no mutation has touched any channel
-    /// in the completing tx's interaction span since the plan was made.
-    pub fn plan_is_current(&self, plan: &TxPlan) -> bool {
-        plan.versions[..plan.nversions as usize]
-            .iter()
-            .all(|&(ch, v)| self.channel_versions[ch as usize] == v)
-    }
-
     /// The mutating half of [`Self::complete_tx`]: mark the transmission
     /// completed, fold the counter deltas in, and hand back the
-    /// deliveries. The caller (the sharded loop) must ensure the plan is
-    /// current — [`Self::plan_is_current`] — or replan; this method
-    /// trusts it.
+    /// deliveries. The caller must ensure no mutation that could change
+    /// the outcome happened since the plan was made; this method trusts
+    /// it.
     pub fn commit_complete(&mut self, plan: TxPlan) -> Vec<Delivery> {
         let s = &mut self.txs[plan.handle.slot as usize];
         assert_eq!(s.gen, plan.handle.gen, "unknown or pruned transmission");
@@ -876,32 +814,6 @@ impl Medium {
             }
         }
         false
-    }
-
-    /// Number of registered radios.
-    pub fn radio_count(&self) -> usize {
-        self.radios.len()
-    }
-
-    /// Source position of an in-flight transmission, frozen at begin
-    /// time — the shard-routing key for its completion event.
-    pub fn tx_src_pos(&self, handle: TxHandle) -> Pos {
-        self.tx_ref(handle).src_pos
-    }
-
-    /// Conservative audible radius of an in-flight transmission: the
-    /// distance at which its received power falls to the audible floor.
-    /// Infinite when the floor is unreachable (degenerate parameters).
-    /// Used with [`crate::RegionMap::disc_crosses_region`] to classify
-    /// boundary events.
-    pub fn tx_audible_range_m(&self, handle: TxHandle) -> f64 {
-        let t = self.tx_ref(handle);
-        max_range_m(
-            t.tx_power_dbm,
-            self.audible_floor_dbm,
-            self.params.ref_loss_db,
-            self.params.path_loss_exponent,
-        )
     }
 
     /// Transmission records currently retained (in-flight plus completed
@@ -1004,7 +916,7 @@ impl Medium {
 
 thread_local! {
     /// Per-thread interferer-slot scratch for [`Medium::plan_complete`]
-    /// (which runs concurrently on the rayon pool in the sharded loop).
+    /// (which runs concurrently on the rayon pool in the burst executor).
     static INTERF_SCRATCH: std::cell::RefCell<Vec<u32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -1444,77 +1356,6 @@ mod tests {
         let ds = m.complete_tx(end, h);
         assert!(!ds.iter().any(|d| d.to == late));
         assert_eq!((m.halfduplex_misses, m.sinr_drops), (0, 0));
-    }
-
-    #[test]
-    fn plan_commit_matches_complete_and_staleness_is_detected() {
-        // A plan made before a conflicting begin_tx must read as stale;
-        // replanning + committing must reproduce exactly what a pure
-        // serial complete_tx computes in an identical world.
-        let run_serial = || {
-            let mut m = medium();
-            let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-            let b = m.add_radio(Pos::new(20.0, 0.0), 1, 15.0);
-            let _victim = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-            let (h1, e1) = m.begin_tx(SimTime::ZERO, a, bytes(200), Bitrate::B11);
-            let (h2, e2) = m.begin_tx(SimTime::ZERO, b, bytes(200), Bitrate::B11);
-            let d1 = m.complete_tx(e1, h1);
-            let d2 = m.complete_tx(e2, h2);
-            let sig: Vec<(u32, u64)> = d1
-                .iter()
-                .chain(d2.iter())
-                .map(|d| (d.to.0, d.rssi_dbm.to_bits()))
-                .collect();
-            (sig, m.halfduplex_misses, m.sinr_drops)
-        };
-        let run_planned = || {
-            let mut m = medium();
-            let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-            let b = m.add_radio(Pos::new(20.0, 0.0), 1, 15.0);
-            let _victim = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-            let (h1, e1) = m.begin_tx(SimTime::ZERO, a, bytes(200), Bitrate::B11);
-            let early = m.plan_complete(e1, h1);
-            assert!(m.plan_is_current(&early), "nothing changed yet");
-            // b's overlapping same-channel tx bumps channel 1: the early
-            // plan (which saw no interferer) is now stale.
-            let (h2, e2) = m.begin_tx(SimTime::ZERO, b, bytes(200), Bitrate::B11);
-            assert!(
-                !m.plan_is_current(&early),
-                "conflicting begin_tx must invalidate the plan"
-            );
-            let d1 = m.commit_complete(m.plan_complete(e1, h1));
-            let d2 = m.commit_complete(m.plan_complete(e2, h2));
-            let sig: Vec<(u32, u64)> = d1
-                .iter()
-                .chain(d2.iter())
-                .map(|d| (d.to.0, d.rssi_dbm.to_bits()))
-                .collect();
-            (sig, m.halfduplex_misses, m.sinr_drops)
-        };
-        assert_eq!(run_serial(), run_planned());
-    }
-
-    #[test]
-    fn retune_and_power_toggle_invalidate_plans() {
-        let mut m = medium();
-        let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-        let b = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
-        let (h, end) = m.begin_tx(SimTime::ZERO, a, bytes(10), Bitrate::B11);
-        let plan = m.plan_complete(end, h);
-        m.set_channel(b, 3);
-        assert!(!m.plan_is_current(&plan), "retune within span must bump");
-        let plan = m.plan_complete(end, h);
-        m.set_enabled(b, false);
-        assert!(!m.plan_is_current(&plan), "power-off must bump");
-        // A retune far outside the interaction span is invisible.
-        let c = m.add_radio(Pos::new(500.0, 0.0), 11, 15.0);
-        let plan = m.plan_complete(end, h);
-        m.set_channel(c, 12);
-        assert!(
-            m.plan_is_current(&plan),
-            "channel 11→12 cannot affect a channel-1 completion"
-        );
-        assert_eq!(m.commit_complete(plan).len(), 0, "b is disabled");
     }
 
     #[test]

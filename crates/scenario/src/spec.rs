@@ -325,6 +325,19 @@ fn as_f64(item: &Item) -> Result<f64, Error> {
     }
 }
 
+/// A shadowing standard deviation: finite and non-negative (σ = 0
+/// disables shadowing).
+fn as_sigma_db(item: &Item) -> Result<f64, Error> {
+    let sigma = as_f64(item)?;
+    if !(sigma.is_finite() && sigma >= 0.0) {
+        return Err(Error::at(
+            item.span,
+            format!("shadowing_sigma_db must be a finite number >= 0, got {sigma}"),
+        ));
+    }
+    Ok(sigma)
+}
+
 fn as_bool(item: &Item) -> Result<bool, Error> {
     match item.value {
         Value::Bool(b) => Ok(b),
@@ -582,7 +595,7 @@ fn read_medium(t: &Table) -> Result<MediumParams, Error> {
         p.ref_loss_db = as_f64(i)?;
     }
     if let Some(i) = s.take("shadowing_sigma_db") {
-        p.shadowing_sigma_db = as_f64(i)?;
+        p.shadowing_sigma_db = as_sigma_db(i)?;
     }
     if let Some(i) = s.take("noise_floor_dbm") {
         p.noise_floor_dbm = as_f64(i)?;
@@ -622,7 +635,7 @@ fn read_corp(t: &Table) -> Result<CorpScenarioCfg, Error> {
         cfg.page_pad = as_usize(i)?;
     }
     if let Some(i) = s.take("shadowing_sigma_db") {
-        cfg.shadowing_sigma_db = as_f64(i)?;
+        cfg.shadowing_sigma_db = as_sigma_db(i)?;
     }
     if let Some(i) = s.take("wired_monitor") {
         cfg.wired_monitor = as_bool(i)?;

@@ -14,21 +14,18 @@
 //!   used by the experiment harness.
 //!
 //! Design rule (see DESIGN.md §5, revised by §15): one simulation world
-//! dispatches events serially and deterministically; parallelism happens
-//! *across* worlds (seeds, parameter points) in the `rogue-core`
-//! experiment drivers, and — since PR 8 — *inside* a world only in the
-//! read-only plan phase of the sharded lockstep loop ([`ShardedQueue`]),
-//! whose merged dispatch order is provably identical to a single
-//! [`EventQueue`].
+//! dispatches events in one deterministic `(time, seq)` order;
+//! parallelism happens *across* worlds (seeds, parameter points) in the
+//! `rogue-core` experiment drivers, and *inside* a world only in the
+//! opt-in burst executor, which runs node-local work of one instant on
+//! the pool and commits every shared effect back in that same order.
 
 pub mod profile;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod trace;
 
 pub use queue::EventQueue;
 pub use rng::{Seed, SimRng};
-pub use shard::ShardedQueue;
 pub use time::{SimDuration, SimTime};

@@ -105,12 +105,6 @@ pub struct Snapshot {
     pub phases: Vec<SnapshotRow>,
     /// Per-event-kind `(label, ns, count)` rows, in registration order.
     pub kinds: Vec<SnapshotRow>,
-    /// Per-shard per-phase rows (`per_shard[shard][phase]`), populated
-    /// only when the owner called [`Profiler::ensure_shards`] — i.e. by
-    /// the sharded event loop. Shard cells mirror a *subset* of the
-    /// global phase cells (the work whose owning shard is known), so
-    /// column sums may undershoot the global row.
-    pub per_shard: Vec<Vec<SnapshotRow>>,
     /// Estimated profiler self-cost across all probes, in ns.
     pub overhead_ns: u64,
     /// Total ns attributed to event kinds (the dispatch denominator).
@@ -132,8 +126,6 @@ impl Snapshot {
 pub struct Profiler {
     phases: [Cell; NUM_PHASES],
     kinds: Vec<(&'static str, Cell)>,
-    /// Per-shard phase cells; empty until [`Self::ensure_shards`].
-    shards: Vec<[Cell; NUM_PHASES]>,
     /// Actual probe pairs taken. Distinct from cell counts since
     /// [`Self::record_many`]: one probe can account for many events.
     probes: u64,
@@ -166,7 +158,6 @@ impl Profiler {
         Profiler {
             phases: [Cell::default(); NUM_PHASES],
             kinds: Vec::new(),
-            shards: Vec::new(),
             probes: 0,
             anchor_instant: Instant::now(),
             anchor_cycles: now(),
@@ -178,13 +169,6 @@ impl Profiler {
     pub fn register_kind(&mut self, label: &'static str) -> usize {
         self.kinds.push((label, Cell::default()));
         self.kinds.len() - 1
-    }
-
-    /// Size the per-shard cell table (idempotent; never shrinks).
-    pub fn ensure_shards(&mut self, n: usize) {
-        if self.shards.len() < n {
-            self.shards.resize(n, [Cell::default(); NUM_PHASES]);
-        }
     }
 
     /// Attribute `now() - t0` to `phase`.
@@ -218,16 +202,6 @@ impl Profiler {
         c.cycles = c.cycles.wrapping_add(cycles);
         c.count += count;
         self.probes += probes;
-    }
-
-    /// Fold externally measured cycles into shard `s`'s `phase` cell.
-    /// No probe accounting: shard cells only mirror totals already
-    /// folded through [`Self::add_cycles`] or recorded directly.
-    #[inline]
-    pub fn add_shard_cycles(&mut self, s: usize, phase: Phase, cycles: u64, count: u64) {
-        let c = &mut self.shards[s][phase as usize];
-        c.cycles = c.cycles.wrapping_add(cycles);
-        c.count += count;
     }
 
     /// Attribute `now() - t0` to the registered kind `idx`.
@@ -270,23 +244,11 @@ impl Profiler {
             .iter()
             .map(|(label, c)| (*label, to_ns(c.cycles), c.count))
             .collect();
-        let per_shard: Vec<Vec<SnapshotRow>> = self
-            .shards
-            .iter()
-            .map(|cells| {
-                cells
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (PHASE_NAMES[i], to_ns(c.cycles), c.count))
-                    .collect()
-            })
-            .collect();
         let overhead_ns = to_ns(self.probes.saturating_mul(self.pair_cost_cycles));
         let dispatch_ns = kinds.iter().map(|(_, ns, _)| ns).sum();
         Snapshot {
             phases,
             kinds,
-            per_shard,
             overhead_ns,
             dispatch_ns,
         }
@@ -344,24 +306,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let s = p.snapshot();
         assert_eq!(s.phases[Phase::QueuePop as usize].2, 40);
-    }
-
-    #[test]
-    fn shard_cells_convert_in_snapshot() {
-        let mut p = Profiler::new();
-        p.ensure_shards(2);
-        p.add_shard_cycles(1, Phase::Poll, 1_000_000, 5);
-        p.add_cycles(Phase::Poll, 1_000_000, 5, 5);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let s = p.snapshot();
-        assert_eq!(s.per_shard.len(), 2);
-        assert_eq!(s.per_shard[1][Phase::Poll as usize].2, 5);
-        assert_eq!(s.per_shard[0][Phase::Poll as usize].2, 0);
-        assert_eq!(
-            s.per_shard[1][Phase::Poll as usize].1,
-            s.phases[Phase::Poll as usize].1,
-            "identical cycle totals must convert to identical ns"
-        );
     }
 
     #[test]

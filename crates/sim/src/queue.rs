@@ -56,9 +56,7 @@ const COMPACT_FLOOR: usize = 64;
 /// Opaque handle returned by [`EventQueue::schedule`], usable to cancel.
 ///
 /// Identity (equality/hashing) is the sequence number alone — the slot is a
-/// private O(1) lookup hint. Two handles for the same scheduled event (e.g.
-/// observed through a [`crate::ShardedQueue`] and its inner queue, which
-/// share one seq counter) therefore compare equal.
+/// private O(1) lookup hint.
 #[derive(Clone, Copy, Debug)]
 pub struct EventId {
     slot: u32,
@@ -268,15 +266,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` at `at` under an externally assigned sequence
-    /// number. This is the shard hook: a [`crate::ShardedQueue`] draws
-    /// seqs from one global counter and injects entries into per-shard
-    /// queues, so that the k-way `(time, seq)` merge across shards pops
-    /// in exactly the order a single queue would have. `seq` must be
-    /// fresh (never pending on this queue); the internal counter is
-    /// bumped past it so mixing with [`Self::schedule`] stays
-    /// collision-free. The freshness requirement is checked in debug
-    /// builds only — the release hot path carries no seq-membership
-    /// index.
+    /// number (a restore/replay hook, exercised by the wheel-vs-heap
+    /// differential proptest). `seq` must be fresh (never pending on
+    /// this queue); the internal counter is bumped past it so mixing
+    /// with [`Self::schedule`] stays collision-free. The freshness
+    /// requirement is checked in debug builds only — the release hot
+    /// path carries no seq-membership index.
     pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
         assert!(
             at >= self.now,
@@ -403,20 +398,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// `(fire_time, seq)` of the next pending event, if any.
-    ///
-    /// The seq is the global tiebreak for same-instant events; the
-    /// sharded merge uses this to pick which shard's head fires next
-    /// without popping speculatively.
-    pub fn peek_next(&mut self) -> Option<(SimTime, u64)> {
-        if self.ensure_head() {
-            let n = &self.current[self.head];
-            Some((n.at, n.seq))
-        } else {
-            None
-        }
-    }
-
     /// Pop the next event, advancing `now` to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if !self.ensure_head() {
@@ -448,15 +429,8 @@ impl<E> EventQueue<E> {
     ///   *after* `run_until(now)`, so a TX that completes exactly on a
     ///   tick boundary must be delivered before the detector samples —
     ///   an exclusive boundary would defer it one whole tick.
-    /// - The sharded lockstep loop uses window edges as deadlines; a
-    ///   window `[start, end]` owns events with `t <= end`, and the next
-    ///   window starts strictly after. Inclusive-here / exclusive-next
-    ///   partitions the timeline with no event falling between windows.
     ///
-    /// Callers audited for off-by-one window assumptions (PR 8):
-    /// `World::run_until` is the only non-test caller; the medium's
-    /// horizon pruning uses `now()` snapshots, not deadlines, and is
-    /// unaffected by the boundary convention.
+    /// [`Self::pop_instant_into`] applies the same inclusive boundary.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match self.peek_time() {
             Some(t) if t <= deadline => self.pop(),
@@ -464,28 +438,24 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Consume the queue, yielding every pending (non-cancelled) event
-    /// as `(fire_time, seq, event)` in unspecified order. Used to
-    /// migrate a queue into a different shard layout with sequence
-    /// numbers — and therefore dispatch order — preserved.
-    pub fn into_entries(self) -> Vec<(SimTime, u64, E)> {
-        self.slab
-            .into_iter()
-            .filter_map(|s| s.event.map(|e| (s.at, s.seq, e)))
-            .collect()
-    }
-
-    /// Iterate every pending (non-cancelled) event in **unspecified
-    /// order**, yielding `(fire_time, seq, &event)`.
-    ///
-    /// This is a read-only snapshot used by the sharded loop's plan
-    /// phase to gather the events inside a lockstep window without
-    /// popping them; dispatch order still comes exclusively from
-    /// [`Self::pop`]'s `(time, seq)` ordering.
-    pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.slab
-            .iter()
-            .filter_map(|s| s.event.as_ref().map(|e| (s.at, s.seq, e)))
+    /// Drain the entire head *instant*: pop every event firing at the
+    /// earliest pending time `t` (provided `t <= deadline`), appending
+    /// them to `into` in `seq` order. Returns the drained instant, or
+    /// `None` when nothing is pending at or before `deadline`. `now`
+    /// and the dispatch counter advance exactly as the equivalent
+    /// `pop_until` loop would leave them — the world's burst loop
+    /// drains this way so it can hand a whole instant to the parallel
+    /// executor.
+    pub fn pop_instant_into(&mut self, deadline: SimTime, into: &mut Vec<E>) -> Option<SimTime> {
+        let instant = match self.peek_time() {
+            Some(t) if t <= deadline => t,
+            _ => return None,
+        };
+        while self.peek_time() == Some(instant) {
+            let (_, event) = self.pop().expect("peeked head vanished");
+            into.push(event);
+        }
+        Some(instant)
     }
 
     /// Lazy tombstone compaction: once cancelled nodes outnumber live
@@ -630,10 +600,10 @@ mod tests {
 
     #[test]
     fn pop_until_deadline_is_inclusive() {
-        // An event at exactly the deadline fires in THIS window; one
+        // An event at exactly the deadline fires in THIS slice; one
         // nanosecond later belongs to the next. Both sides of the
-        // boundary are pinned because the scenario tick loop and the
-        // sharded lockstep windows partition time on this convention.
+        // boundary are pinned because the scenario tick loop partitions
+        // time on this convention.
         let t = SimTime::from_millis(10);
         let mut q = EventQueue::new();
         q.schedule(t, "on-boundary");
@@ -684,7 +654,7 @@ mod tests {
 
     #[test]
     fn schedule_at_seq_merges_with_local_seqs() {
-        // The shard hook: externally assigned seqs interleave with
+        // The replay hook: externally assigned seqs interleave with
         // locally assigned ones in strict (time, seq) order, and the
         // internal counter never collides with an injected seq.
         let t = SimTime::from_millis(1);
@@ -697,6 +667,58 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "five");
         assert_eq!(q.pop().unwrap().1, "six");
         assert!(!q.cancel(id), "already fired");
+    }
+
+    #[test]
+    fn pop_instant_drains_exactly_one_instant_in_seq_order() {
+        let mut q = EventQueue::new();
+        let t1 = SimTime::from_millis(1);
+        let t2 = SimTime::from_millis(2);
+        q.schedule(t1, "a");
+        q.schedule(t1, "b");
+        q.schedule(t2, "later");
+        q.schedule(t1, "c");
+        let mut burst = Vec::new();
+        assert_eq!(q.pop_instant_into(t2, &mut burst), Some(t1));
+        assert_eq!(burst, vec!["a", "b", "c"]);
+        assert_eq!(q.now(), t1);
+        assert_eq!(q.dispatched(), 3);
+        burst.clear();
+        // Deadline before the next instant: nothing drained, clock holds.
+        assert_eq!(q.pop_instant_into(t1, &mut burst), None);
+        assert!(burst.is_empty());
+        assert_eq!(q.now(), t1);
+        assert_eq!(q.pop_instant_into(t2, &mut burst), Some(t2));
+        assert_eq!(burst, vec!["later"]);
+    }
+
+    #[test]
+    fn pop_instant_matches_pop_until_loop() {
+        // Differential check: draining via pop_instant_into must be
+        // indistinguishable from a pop_until loop.
+        let build = || {
+            let mut q = EventQueue::new();
+            for i in 0..200u64 {
+                q.schedule(SimTime::from_millis((i * 7919) % 13), i);
+            }
+            q
+        };
+        let deadline = SimTime::from_millis(9);
+        let mut a = build();
+        let mut b = build();
+        let mut via_instants: Vec<(SimTime, u64)> = Vec::new();
+        let mut burst = Vec::new();
+        while let Some(t) = a.pop_instant_into(deadline, &mut burst) {
+            via_instants.extend(burst.drain(..).map(|e| (t, e)));
+        }
+        let mut via_pops = Vec::new();
+        while let Some(popped) = b.pop_until(deadline) {
+            via_pops.push(popped);
+        }
+        assert_eq!(via_instants, via_pops);
+        assert_eq!(a.now(), b.now());
+        assert_eq!(a.dispatched(), b.dispatched());
+        assert_eq!(a.len(), b.len());
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! parse as TOML when they can (`42`, `true`, `[1, 6]`) and fall back to
 //! bare strings (`30s`) so durations need no inner quotes.
 //!
-//! `--shards N` runs every world the scenario builds under N event-loop
-//! shards. Sharding is bit-identical by construction (DESIGN.md §15),
-//! so the report must not change; in `--smoke` mode that is enforced —
-//! each scenario is rendered serially AND under the requested shard
-//! count (default 2) and the two reports are asserted byte-identical.
+//! `--shards N` with N ≥ 2 runs every world the scenario builds with the
+//! parallel burst executor (N = 1: serial dispatch). The executor is
+//! bit-identical by construction (DESIGN.md §15), so the report must not
+//! change; in `--smoke` mode that is enforced — each scenario is
+//! rendered serially AND in the requested mode (default 2, parallel)
+//! and the two reports are asserted byte-identical.
 
 use std::process::ExitCode;
 
@@ -74,9 +75,9 @@ fn main() -> ExitCode {
 }
 
 /// Load, run, print. In smoke mode the scenario is downscaled first so a
-/// CI leg can cover every checked-in file in seconds, and — when a shard
-/// count other than 1 is in play — the report is rendered both serially
-/// and sharded and the two are asserted byte-identical.
+/// CI leg can cover every checked-in file in seconds, and — when the
+/// parallel executor is in play — the report is rendered both serially
+/// and in parallel and the two are asserted byte-identical.
 fn run_one(path: &str, overrides: &[String], smoke: bool, shards: usize) -> bool {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -102,14 +103,14 @@ fn run_one(path: &str, overrides: &[String], smoke: bool, shards: usize) -> bool
         }
     };
     if smoke && shards > 1 {
-        // The determinism gate: a sharded world must render the exact
-        // bytes the serial world does, or sharding has a bug.
+        // The determinism gate: a parallel world must render the exact
+        // bytes the serial world does, or the executor has a bug.
         match render(1) {
             Ok(serial) if serial == report => {
-                println!("[shards {shards} == serial: byte-identical]");
+                println!("[parallel == serial: byte-identical]");
             }
             Ok(_) => {
-                eprintln!("{path}: report under {shards} shards diverged from serial");
+                eprintln!("{path}: parallel report diverged from serial");
                 return false;
             }
             Err(e) => {
@@ -166,8 +167,8 @@ fn collect_tomls(dir: &str, paths: &mut Vec<String>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Run every `.toml` under `dir`, downscaled and cross-checked against
-/// `shards` event-loop shards; fail if any file fails or diverges.
+/// Run every `.toml` under `dir`, downscaled and cross-checked in the
+/// `shards` dispatch mode; fail if any file fails or diverges.
 fn smoke(dir: &str, overrides: &[String], shards: usize) -> bool {
     let mut paths = Vec::new();
     if let Err(e) = collect_tomls(dir, &mut paths) {
@@ -185,8 +186,9 @@ fn smoke(dir: &str, overrides: &[String], shards: usize) -> bool {
         }
     }
     println!(
-        "smoke: {} scenario(s) ran clean under {shards} shard(s)",
-        paths.len()
+        "smoke: {} scenario(s) ran clean ({} dispatch)",
+        paths.len(),
+        if shards > 1 { "parallel" } else { "serial" }
     );
     true
 }

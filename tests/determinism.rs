@@ -41,42 +41,40 @@ fn same_seed_same_world_trace() {
 
 #[test]
 fn sharded_event_loop_is_bit_identical_to_serial() {
-    // PR 8's contract: sharding is a *scheduling* change, never a
-    // *semantic* one. The plan/commit split replays commits in global
-    // (time, seq) order, so any shard count — and any window width —
-    // must reproduce the serial trace down to the last nanosecond.
-    let run = |shards: usize, window_us: u64| {
-        let cfg = CorpScenarioCfg::paper_attack();
-        let mut sc = build_corp(&cfg, Seed(0x5A4D));
-        if shards > 1 {
+    // The parallel burst executor (`set_shards(n)` with n ≥ 2) is a
+    // *scheduling* change, never a *semantic* one: it commits every
+    // shared effect in (time, seq) order, so on any pool size it must
+    // reproduce the serial trace down to the last nanosecond.
+    let run = |shards: usize, threads: usize| {
+        rayon::with_num_threads(threads, || {
+            let cfg = CorpScenarioCfg::paper_attack();
+            let mut sc = build_corp(&cfg, Seed(0x5A4D));
             sc.world.set_shards(shards);
-            sc.world
-                .set_shard_window(rogue_sim::SimDuration::from_micros(window_us));
-        }
-        sc.world.run_until(SimTime::from_secs(5));
-        let events: Vec<(u64, String)> = sc
-            .world
-            .mac_events
-            .iter()
-            .map(|(t, n, e)| (t.as_nanos() ^ n.0 as u64, format!("{e:?}")))
-            .collect();
-        (
-            events,
-            sc.world.medium.frames_sent,
-            sc.world.medium.halfduplex_misses,
-            sc.world.medium.sinr_drops,
-        )
+            sc.world.run_until(SimTime::from_secs(5));
+            let events: Vec<(u64, String)> = sc
+                .world
+                .mac_events
+                .iter()
+                .map(|(t, n, e)| (t.as_nanos() ^ n.0 as u64, format!("{e:?}")))
+                .collect();
+            (
+                events,
+                sc.world.medium.frames_sent,
+                sc.world.medium.halfduplex_misses,
+                sc.world.medium.sinr_drops,
+            )
+        })
     };
-    let serial = run(1, 0);
-    for (shards, window_us) in [(2, 1_000), (4, 250), (8, 5_000)] {
-        let sharded = run(shards, window_us);
+    let serial = run(1, 1);
+    for (shards, threads) in [(1, 4), (2, 1), (2, 4)] {
+        let other = run(shards, threads);
         assert_eq!(
-            serial.0, sharded.0,
-            "shards={shards} window={window_us}us: event trace diverged"
+            serial.0, other.0,
+            "shards={shards} threads={threads}: event trace diverged"
         );
-        assert_eq!(serial.1, sharded.1, "frames_sent diverged");
-        assert_eq!(serial.2, sharded.2, "halfduplex_misses diverged");
-        assert_eq!(serial.3, sharded.3, "sinr_drops diverged");
+        assert_eq!(serial.1, other.1, "frames_sent diverged");
+        assert_eq!(serial.2, other.2, "halfduplex_misses diverged");
+        assert_eq!(serial.3, other.3, "sinr_drops diverged");
     }
 }
 

@@ -35,12 +35,11 @@ fn every_report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn every_report_is_byte_identical_across_shard_counts() {
-    // PR 8's contract, held at the artifact level: the sharded event
-    // loop must be unobservable in every rendered table, whatever the
-    // combination of shard count and pool size. Shard count 1 is the
-    // classic serial loop (the baseline); 2 and 8 exercise region
-    // routing, burst planning, and the (time, seq) merge under both a
-    // serial and a parallel plan phase.
+    // The parallel burst executor must be unobservable in every
+    // rendered table, whatever the pool size. Shard count 1 is serial
+    // dispatch (the baseline); 2 turns the executor on, whose frozen
+    // plans, per-node chains and outbox barrier then run on a 1-thread
+    // and a 4-thread pool.
     let reps = 2;
     let baseline: Vec<String> = rayon::with_num_threads(1, || {
         report_builders()
@@ -48,22 +47,20 @@ fn every_report_is_byte_identical_across_shard_counts() {
             .map(|build| render_report(&build(reps)))
             .collect()
     });
-    for shards in [2, 8] {
-        for threads in [1, 4] {
-            let sharded: Vec<String> = rogue_core::with_default_shards(shards, || {
-                rayon::with_num_threads(threads, || {
-                    report_builders()
-                        .iter()
-                        .map(|build| render_report(&build(reps)))
-                        .collect()
-                })
-            });
-            for (i, (a, b)) in baseline.iter().zip(&sharded).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "report {i} diverged at shards={shards} threads={threads}"
-                );
-            }
+    for threads in [1, 4] {
+        let parallel: Vec<String> = rogue_core::with_default_shards(2, || {
+            rayon::with_num_threads(threads, || {
+                report_builders()
+                    .iter()
+                    .map(|build| render_report(&build(reps)))
+                    .collect()
+            })
+        });
+        for (i, (a, b)) in baseline.iter().zip(&parallel).enumerate() {
+            assert_eq!(
+                a, b,
+                "report {i} diverged in parallel mode at threads={threads}"
+            );
         }
     }
 }
@@ -121,14 +118,17 @@ fn scenario_reports_are_byte_identical_across_thread_counts() {
                 "{file} diverged between 1 and {threads} threads"
             );
         }
-        // And under the sharded event loop: the campus case moves
-        // radios across region stripes every mobility tick, the WIDS
-        // case runs the full sensor pipeline — both must render the
-        // same bytes as the serial loop.
-        for shards in [2, 8] {
-            let sharded =
-                rogue_core::with_default_shards(shards, || scenario_report(file, overrides));
-            assert_eq!(serial, sharded, "{file} diverged at shards={shards}");
+        // And under the parallel burst executor: the campus case moves
+        // radios every mobility tick, the WIDS case runs the full sensor
+        // pipeline — both must render the same bytes as serial dispatch.
+        for threads in [1, 4] {
+            let parallel = rogue_core::with_default_shards(2, || {
+                rayon::with_num_threads(threads, || scenario_report(file, overrides))
+            });
+            assert_eq!(
+                serial, parallel,
+                "{file} diverged in parallel mode at threads={threads}"
+            );
         }
     }
 }

@@ -179,6 +179,33 @@ fn semantic_range_checks_fire() {
 }
 
 #[test]
+fn shadowing_sigma_must_be_finite_and_non_negative() {
+    // Both parse sites: the summary world's [medium] and the paper
+    // world's [corp]. σ = 0 (shadowing off) stays legal.
+    let medium = format!("{VALID}\n[medium]\nshadowing_sigma_db = 2.0\n");
+    let corp = "name = \"corp\"\n[corp]\nshadowing_sigma_db = 0.0\n[e10]\n";
+    assert!(parse_scenario(&medium).is_ok());
+    for bad in ["-1.0", "1e999", "-1e999"] {
+        let err = err_of(&medium.replace("= 2.0", &format!("= {bad}")));
+        assert!(err.msg.contains("shadowing_sigma_db"), "{bad}: {err}");
+        assert_eq!(err.span.line, 28, "{bad}: the key's own line: {err}");
+        let err = err_of(&corp.replace("= 0.0", &format!("= {bad}")));
+        assert!(err.msg.contains("shadowing_sigma_db"), "{bad}: {err}");
+        assert_eq!(err.span.line, 3, "{bad}: the key's own line: {err}");
+    }
+
+    // The same check guards --override values.
+    let err = load_source(&medium, &["medium.shadowing_sigma_db=-1.0".to_string()])
+        .expect_err("negative sigma override");
+    assert!(err.msg.contains("shadowing_sigma_db"), "{err}");
+    assert!(err.span.line > 0, "error must carry a source span: {err}");
+    let err = load_source(corp, &["corp.shadowing_sigma_db=-1.0".to_string()])
+        .expect_err("negative sigma override");
+    assert!(err.msg.contains("shadowing_sigma_db"), "{err}");
+    assert!(err.span.line > 0, "error must carry a source span: {err}");
+}
+
+#[test]
 fn summary_scenarios_need_something_to_run() {
     let err = err_of("name = \"empty\"\n");
     assert!(err.msg.contains("nothing to run"), "{err}");
