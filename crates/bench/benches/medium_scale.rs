@@ -14,13 +14,16 @@
 //!   `begin_tx` → `channel_busy` → `complete_tx` cycle. Sub-linear
 //!   ns/frame growth vs. radio count is the point of the spatial cull.
 //! * **power-map entries/tx** — `(radio, dBm)` pairs retained per
-//!   transmission: O(R) for the dense pre-change medium, O(audible)
-//!   after the sparse cull.
+//!   transmission: O(R) for the dense fill, O(audible) for the sparse
+//!   path.
 //!
-//! Results (plus the committed pre-change baseline) are written to
-//! `BENCH_medium_scale.json` at the workspace root so CI can archive the
-//! perf trajectory per PR. `-- --test` runs a shortened smoke sweep; the
-//! JSON is written either way.
+//! Every size runs twice in one process on one host: the default sparse
+//! path, and the same schedule through [`Medium::force_dense`] — the
+//! O(registry) reference fill the sparse path must match bit for bit.
+//! The two legs must deliver the same frames; the speedup is their
+//! ratio. Results are written to `BENCH_medium_scale.json` at the
+//! workspace root. `-- --test` runs a shortened smoke sweep (the sizes
+//! up to 5,000 radios); the JSON is written either way.
 
 use std::time::Instant;
 
@@ -40,31 +43,29 @@ const SPACING_M: f64 = 30.0;
 /// Transmitters streaming concurrently, spread evenly over the floor.
 const SOURCES: usize = 16;
 
-/// Radio counts swept.
-const RADIOS: [usize; 4] = [50, 200, 1000, 5000];
+/// Radio counts swept; the smoke sweep stops at [`SMOKE_RADIOS_MAX`].
+const RADIOS: [usize; 5] = [50, 200, 1000, 5000, 20_000];
+const SMOKE_RADIOS_MAX: usize = 5000;
 
-/// Pre-change baseline, measured on this machine at the commit that
-/// introduced this bench (dense O(R) power maps, linear tx lookup):
-/// (radios, frames_per_sec, power_map_entries_per_tx).
-const BASELINE: [(usize, f64, f64); 4] = [
-    (50, 1093102.0, 50.0),
-    (200, 295698.0, 200.0),
-    (1000, 58784.0, 1000.0),
-    (5000, 11740.0, 5000.0),
-];
-
-struct Sweep {
-    radios: usize,
+/// One leg (sparse or forced-dense) at one size.
+struct Leg {
     frames_per_sec: f64,
     ns_per_frame: f64,
     deliveries: u64,
     power_map_entries_per_tx: f64,
 }
 
+struct Sweep {
+    radios: usize,
+    sparse: Leg,
+    dense: Leg,
+}
+
 /// Build the campus grid: `radios` radios at `SPACING_M` pitch, channels
 /// round-robin over {1, 6, 11}.
-fn build(radios: usize) -> (Medium, Vec<rogue_phy::RadioId>) {
+fn build(radios: usize, force_dense: bool) -> (Medium, Vec<rogue_phy::RadioId>) {
     let mut m = Medium::new(MediumParams::default(), Seed(42));
+    m.force_dense(force_dense);
     let side = (radios as f64).sqrt().ceil() as usize;
     let mut ids = Vec::with_capacity(radios);
     for i in 0..radios {
@@ -79,8 +80,8 @@ fn build(radios: usize) -> (Medium, Vec<rogue_phy::RadioId>) {
 /// One timed run: `frames` back-to-back data frames from `SOURCES`
 /// rotating transmitters. Returns (elapsed seconds, deliveries,
 /// power-map entries per tx).
-fn run(radios: usize, frames: usize) -> (f64, u64, f64) {
-    let (mut m, ids) = build(radios);
+fn run(radios: usize, frames: usize, force_dense: bool) -> (f64, u64, f64) {
+    let (mut m, ids) = build(radios, force_dense);
     let sources: Vec<_> = (0..SOURCES.min(radios))
         .map(|s| ids[s * radios / SOURCES.min(radios)])
         .collect();
@@ -112,73 +113,82 @@ fn run(radios: usize, frames: usize) -> (f64, u64, f64) {
     )
 }
 
-fn sweep(frames: usize, reps: usize) -> Vec<Sweep> {
+/// Best-of-`reps` timing of one leg.
+fn leg(radios: usize, frames: usize, reps: usize, force_dense: bool) -> Leg {
+    let mut best = f64::INFINITY;
+    let mut deliveries = 0;
+    let mut entries = 0.0;
+    for _ in 0..reps {
+        let (elapsed, d, e) = run(radios, frames, force_dense);
+        best = best.min(elapsed);
+        deliveries = d;
+        entries = e;
+    }
+    Leg {
+        frames_per_sec: frames as f64 / best,
+        ns_per_frame: best * 1e9 / frames as f64,
+        deliveries,
+        power_map_entries_per_tx: entries,
+    }
+}
+
+fn sweep(frames: usize, reps: usize, max_radios: usize) -> Vec<Sweep> {
     RADIOS
         .iter()
+        .filter(|&&radios| radios <= max_radios)
         .map(|&radios| {
-            let mut best = f64::INFINITY;
-            let mut deliveries = 0;
-            let mut entries = 0.0;
-            for _ in 0..reps {
-                let (elapsed, d, e) = run(radios, frames);
-                best = best.min(elapsed);
-                deliveries = d;
-                entries = e;
-            }
-            Sweep {
+            let sweep = Sweep {
                 radios,
-                frames_per_sec: frames as f64 / best,
-                ns_per_frame: best * 1e9 / frames as f64,
-                deliveries,
-                power_map_entries_per_tx: entries,
-            }
+                sparse: leg(radios, frames, reps, false),
+                dense: leg(radios, frames, reps, true),
+            };
+            assert_eq!(
+                sweep.sparse.deliveries, sweep.dense.deliveries,
+                "sparse and forced-dense legs diverged at {radios} radios"
+            );
+            sweep
         })
         .collect()
 }
 
-fn write_json(path: &std::path::Path, frames: usize, results: &[Sweep]) {
-    let mut rows = Vec::new();
-    for s in results {
-        let (_, base_fps, base_entries) = BASELINE
-            .iter()
-            .find(|(r, _, _)| *r == s.radios)
-            .copied()
-            .unwrap_or((s.radios, 0.0, 0.0));
-        let speedup = if base_fps > 0.0 {
-            s.frames_per_sec / base_fps
-        } else {
-            0.0
-        };
-        rows.push(format!(
-            concat!(
-                "    {{\"radios\": {}, \"frames_per_sec\": {:.0}, ",
-                "\"ns_per_frame\": {:.0}, \"deliveries\": {}, ",
-                "\"power_map_entries_per_tx\": {:.1}, ",
-                "\"baseline_frames_per_sec\": {:.0}, ",
-                "\"baseline_power_map_entries_per_tx\": {:.1}, ",
-                "\"speedup\": {:.2}}}"
-            ),
-            s.radios,
-            s.frames_per_sec,
-            s.ns_per_frame,
-            s.deliveries,
-            s.power_map_entries_per_tx,
-            base_fps,
-            base_entries,
-            speedup,
-        ));
-    }
+fn write_json(path: &std::path::Path, frames: usize, reps: usize, results: &[Sweep]) {
+    let rows: Vec<String> = results
+        .iter()
+        .map(|s| {
+            format!(
+                concat!(
+                    "    {{\"radios\": {}, \"frames_per_sec\": {:.0}, ",
+                    "\"ns_per_frame\": {:.0}, \"deliveries\": {}, ",
+                    "\"power_map_entries_per_tx\": {:.1}, ",
+                    "\"dense_frames_per_sec\": {:.0}, ",
+                    "\"dense_power_map_entries_per_tx\": {:.1}, ",
+                    "\"speedup_vs_dense\": {:.2}}}"
+                ),
+                s.radios,
+                s.sparse.frames_per_sec,
+                s.sparse.ns_per_frame,
+                s.sparse.deliveries,
+                s.sparse.power_map_entries_per_tx,
+                s.dense.frames_per_sec,
+                s.dense.power_map_entries_per_tx,
+                s.sparse.frames_per_sec / s.dense.frames_per_sec,
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"medium_scale\",\n",
             "  \"payload_len\": {},\n  \"spacing_m\": {},\n",
             "  \"sources\": {},\n  \"frames_per_run\": {},\n",
+            "  \"reps_best_of\": {},\n  \"host_cpus\": {},\n",
             "  \"results\": [\n{}\n  ]\n}}\n"
         ),
         PAYLOAD_LEN,
         SPACING_M,
         SOURCES,
         frames,
+        reps,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows.join(",\n")
     );
     std::fs::write(path, json).expect("write BENCH_medium_scale.json");
@@ -186,19 +196,29 @@ fn write_json(path: &std::path::Path, frames: usize, results: &[Sweep]) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let (frames, reps) = if smoke { (500, 2) } else { (4000, 4) };
+    let (frames, reps, max_radios) = if smoke {
+        (500, 2, SMOKE_RADIOS_MAX)
+    } else {
+        (4000, 4, usize::MAX)
+    };
 
-    let results = sweep(frames, reps);
+    let results = sweep(frames, reps, max_radios);
     println!("medium_scale ({PAYLOAD_LEN}-byte payloads, {frames} frames/run, {SOURCES} sources)");
     for s in &results {
         println!(
-            "  radios={:<5} {:>10.0} frames/s   {:>9.0} ns/frame   {:>8.1} power-map entries/tx   {} deliveries",
-            s.radios, s.frames_per_sec, s.ns_per_frame, s.power_map_entries_per_tx, s.deliveries
+            "  radios={:<6} {:>10.0} frames/s   {:>9.0} ns/frame   {:>8.1} power-map entries/tx   {} deliveries   {:.2}x vs dense ({:.0} frames/s)",
+            s.radios,
+            s.sparse.frames_per_sec,
+            s.sparse.ns_per_frame,
+            s.sparse.power_map_entries_per_tx,
+            s.sparse.deliveries,
+            s.sparse.frames_per_sec / s.dense.frames_per_sec,
+            s.dense.frames_per_sec,
         );
     }
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_medium_scale.json");
-    write_json(&path, frames, &results);
+    write_json(&path, frames, reps, &results);
     println!("wrote {}", path.display());
 }

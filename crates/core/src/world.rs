@@ -100,6 +100,7 @@ fn event_kind(ev: &Event) -> usize {
 const PROF_PHASE_KEYS: [&str; rogue_sim::profile::NUM_PHASES] = [
     "sim.prof.queue_pop_ns",
     "sim.prof.queue_schedule_ns",
+    "sim.prof.medium_begin_ns",
     "sim.prof.medium_plan_ns",
     "sim.prof.medium_commit_ns",
     "sim.prof.deliver_ns",
@@ -1125,8 +1126,19 @@ impl World {
             for ev in burst.drain(..) {
                 let kind = self.prof_kinds[event_kind(&ev)];
                 let t0 = profile::now();
-                self.dispatch_event(t, ev);
-                self.prof.record_kind(kind, t0);
+                let mut lap = t0;
+                let begin0 = self.prof.cycles(Phase::MediumBegin);
+                let nops = self.dispatch_event(t, ev, &mut lap);
+                let t1 = self.prof.record_kind(kind, t0);
+                if nops > 0 {
+                    // The op barrier runs from the last phase's end to
+                    // the event's end, so it shares both reads and
+                    // costs no probe; the `begin_tx` spans nested in it
+                    // are subtracted, leaving the barrier's self time.
+                    let nested = self.prof.cycles(Phase::MediumBegin).wrapping_sub(begin0);
+                    let span = t1.wrapping_sub(lap).saturating_sub(nested);
+                    self.prof.add_cycles(Phase::OpCommit, span, nops, 0);
+                }
             }
         }
         self.burst_scratch = burst;
@@ -1136,10 +1148,6 @@ impl World {
         self.metrics
             .set("phy.halfduplex_misses", self.medium.halfduplex_misses);
         self.metrics.set("phy.sinr_drops", self.medium.sinr_drops);
-        let (pairs, hits, misses) = self.medium.pathloss_cache_stats();
-        self.metrics.set("phy.pathloss_cache_pairs", pairs as u64);
-        self.metrics.set("phy.pathloss_cache_hits", hits);
-        self.metrics.set("phy.pathloss_cache_misses", misses);
         self.metrics
             .set("phy.audible_rows_reused", self.medium.audible_rows_reused());
         self.metrics.set(
@@ -1482,6 +1490,7 @@ impl World {
                 self.prof.record(Phase::MediumCommit, t0);
             }
             let t0 = profile::now();
+            let begin0 = self.prof.cycles(Phase::MediumBegin);
             let mut nops = 0u64;
             while task_cursor < task_end as usize {
                 nops += ops_by_task[task_cursor].len() as u64;
@@ -1491,7 +1500,10 @@ impl World {
                 task_cursor += 1;
             }
             if nops > 0 {
-                self.prof.record_many(Phase::OpCommit, t0, nops);
+                let nested = self.prof.cycles(Phase::MediumBegin).wrapping_sub(begin0);
+                let span = profile::now().wrapping_sub(t0);
+                self.prof
+                    .add_cycles(Phase::OpCommit, span.saturating_sub(nested), nops, 1);
             }
             let barrier_cycles = profile::now().wrapping_sub(c0);
             let tstart = if i == 0 { 0 } else { ev_meta[i - 1].1 as usize };
@@ -1503,7 +1515,12 @@ impl World {
 
     /// Dispatch one event: node work, then its deferred ops in emission
     /// order. A completion is planned and committed on the spot.
-    fn dispatch_event(&mut self, now: SimTime, ev: Event) {
+    ///
+    /// `lap` holds the counter read the event's span began with; each
+    /// phase ends the previous one's span (one read per phase), and on
+    /// return `lap` is where the op barrier began. Returns the number
+    /// of ops committed; the caller closes the barrier's span.
+    fn dispatch_event(&mut self, now: SimTime, ev: Event, lap: &mut u64) -> u64 {
         let mut ops = std::mem::take(&mut self.ops_scratch);
         let mut scratch = std::mem::take(&mut self.node_scratch);
         debug_assert!(ops.is_empty());
@@ -1511,13 +1528,10 @@ impl World {
             Event::TxComplete { tx } => {
                 // complete_tx == plan_complete + commit_complete; split
                 // here so each phase is attributed.
-                let t0 = profile::now();
                 let plan = self.medium.plan_complete(now, tx);
-                self.prof.record(Phase::MediumPlan, t0);
-                let t0 = profile::now();
+                *lap = self.prof.record(Phase::MediumPlan, *lap);
                 let deliveries = self.medium.commit_complete(plan);
-                self.prof.record(Phase::MediumCommit, t0);
-                let t0 = profile::now();
+                *lap = self.prof.record(Phase::MediumCommit, *lap);
                 let mut touched = std::mem::take(&mut self.touched_scratch);
                 debug_assert!(touched.is_empty());
                 for d in deliveries {
@@ -1534,8 +1548,7 @@ impl World {
                         touched.push(node);
                     }
                 }
-                self.prof.record(Phase::Deliver, t0);
-                let t0 = profile::now();
+                *lap = self.prof.record(Phase::Deliver, *lap);
                 for &node in &touched {
                     NodeCtx {
                         now,
@@ -1546,7 +1559,7 @@ impl World {
                     }
                     .poll_node();
                 }
-                self.prof.record(Phase::Poll, t0);
+                *lap = self.prof.record(Phase::Poll, *lap);
                 touched.clear();
                 self.touched_scratch = touched;
             }
@@ -1558,7 +1571,6 @@ impl World {
                 // `SchedulePoll` gate sees the serial-order state at
                 // commit time — see `Op::PollFired`.
                 ops.push(Op::PollFired { node: node as u32 });
-                let t0 = profile::now();
                 NodeCtx {
                     now,
                     idx: node,
@@ -1567,11 +1579,10 @@ impl World {
                     scratch: &mut scratch,
                 }
                 .poll_node();
-                self.prof.record(Phase::Poll, t0);
+                *lap = self.prof.record(Phase::Poll, *lap);
             }
             Event::WireDeliver(f) => {
                 let node = f.node as usize;
-                let t0 = profile::now();
                 let mut cx = NodeCtx {
                     now,
                     idx: node,
@@ -1581,11 +1592,10 @@ impl World {
                 };
                 cx.node.host.on_link_rx(now, f.iface, &f.bytes);
                 cx.poll_node();
-                self.prof.record(Phase::Poll, t0);
+                *lap = self.prof.record(Phase::Poll, *lap);
             }
             Event::BridgeDeliver(f) => {
                 let node = f.node as usize;
-                let t0 = profile::now();
                 let mut cx = NodeCtx {
                     now,
                     idx: node,
@@ -1595,7 +1605,7 @@ impl World {
                 };
                 cx.bridge_wired_rx(f.radio as usize, &f.bytes);
                 cx.poll_node();
-                self.prof.record(Phase::Poll, t0);
+                *lap = self.prof.record(Phase::Poll, *lap);
             }
             Event::TapDeliver(f) => {
                 if let Some(mon) = &mut self.nodes[f.node as usize].wired_monitor {
@@ -1608,16 +1618,13 @@ impl World {
         }
         // Commit: replay the deferred shared-state effects in emission
         // order, which equals the old inline mutation order.
-        if !ops.is_empty() {
-            let t0 = profile::now();
-            let n = ops.len() as u64;
-            for op in ops.drain(..) {
-                self.commit_op(now, op);
-            }
-            self.prof.record_many(Phase::OpCommit, t0, n);
+        let n = ops.len() as u64;
+        for op in ops.drain(..) {
+            self.commit_op(now, op);
         }
         self.ops_scratch = ops;
         self.node_scratch = scratch;
+        n
     }
 
     /// Apply one deferred op. Called in emission order at an event's (or
@@ -1631,7 +1638,9 @@ impl World {
                 bytes,
                 bitrate,
             } => {
+                let t0 = profile::now();
                 let (tx, end) = self.medium.begin_tx(now, radio, bytes, bitrate);
+                self.prof.record(Phase::MediumBegin, t0);
                 self.schedule_event(end, Event::TxComplete { tx });
             }
             Op::SetChannel { radio, channel } => self.medium.set_channel(radio, channel),

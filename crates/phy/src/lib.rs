@@ -17,7 +17,6 @@
 //! receives the bytes — including an attacker's monitor-mode radio, which
 //! is all "sniffing" is.
 
-mod cache;
 mod grid;
 pub mod medium;
 pub mod propagation;

@@ -19,23 +19,29 @@
 //!
 //! With shadowing disabled (`shadowing_sigma_db == 0.0`, every experiment
 //! except E1) received power is a pure function of geometry, so the
-//! medium takes three shortcuts that keep a campus-scale registry out of
-//! the per-frame path:
+//! medium keeps a campus-scale registry out of the per-frame path:
 //!
-//! * a lazily-filled **pairwise path-loss cache** keyed on (radio pair,
-//!   position epochs) — the `sqrt`/`powi`/`log10` chain runs once per
-//!   pair per move, not once per frame ([`crate::cache`]);
-//! * a **uniform spatial grid** plus per-source **audible-row cache**, so
-//!   `begin_tx` stores a sparse `(radio, dBm)` list covering only radios
-//!   inside the decode/CCA horizon ([`crate::grid`],
+//! * a **uniform spatial grid** plus a per-source **audible row** — the
+//!   one link structure: `(radio, dBm, mW)` for every radio inside the
+//!   decode/CCA horizon, built from the grid on first use and shared by
+//!   every sparse tx begun while the geometry holds ([`crate::grid`],
 //!   [`propagation::max_range_m`]);
 //! * in-flight transmissions live in a **generation-checked slab** (a
 //!   [`TxHandle`] resolves with a bounds check, no hashing) and are
 //!   indexed **by channel** (only channels within the 5-channel
 //!   interaction span can exchange energy) and **by source** (the
-//!   half-duplex check), both as dense slot vectors.
+//!   half-duplex check), both as dense slot vectors that each record
+//!   knows its own position in, so removal is a swap;
+//! * **end-time-ordered retirement**: a min-heap of in-flight starts
+//!   gives the retention horizon and a min-heap of completed ends pops
+//!   exactly the records that can no longer overlap anything, so
+//!   `begin_tx` never scans the slab;
+//! * each transmission stores its **audible reach** once at begin time,
+//!   and the interference loop walks every sparse interferer's row with
+//!   a **forward cursor** as the (ascending) candidates advance, adding
+//!   the row's stored milliwatts directly for co-channel energy.
 //!
-//! The audible floor is a **uniform far-field cutoff** (PR 9): a signal
+//! The audible floor is a **uniform far-field cutoff**: a signal
 //! below it can neither decode, nor trip CCA, nor contribute to an
 //! interference sum. The sparse path is bit-identical to the dense fill
 //! under that cutoff: a sparse row omits exactly the entries the dense
@@ -50,12 +56,13 @@
 //! registration-order RNG draws — and therefore every E1 shadowing
 //! result — stay byte-identical.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rogue_sim::{Seed, SimRng, SimTime};
 
-use crate::cache::PathLossCache;
 use crate::grid::SpatialGrid;
 use crate::propagation::{
     aci_rejection_db, dbm_to_mw, max_range_m, path_loss_db, Bitrate, Pos,
@@ -108,14 +115,24 @@ struct Radio {
     channel: u8,
     tx_power_dbm: f64,
     enabled: bool,
-    /// Bumped by every position change; keys the path-loss cache.
+    /// Bumped by every position change.
     pos_epoch: u64,
 }
 
-/// A source's audible set: `(radio index, received dBm)` sorted by
-/// index, shared between the per-source row cache and every sparse tx
-/// begun while the geometry holds.
-type AudibleRow = Arc<Vec<(u32, f64)>>;
+/// A source's audible set, sorted by radio index and stored as parallel
+/// columns: the receiving radio, its received dBm, and that power in
+/// milliwatts (the co-channel interference term, converted once per row
+/// build instead of once per interference sum).
+#[derive(Debug, Default)]
+struct Row {
+    radio: Vec<u32>,
+    dbm: Vec<f64>,
+    mw: Vec<f64>,
+}
+
+/// A source's audible row, shared between the per-source row cache and
+/// every sparse tx begun while the geometry holds.
+type AudibleRow = Arc<Row>;
 
 /// Received power samples of one transmission.
 #[derive(Clone, Debug)]
@@ -146,6 +163,9 @@ struct Transmission {
     /// far-field interferer cull in [`Medium::plan_complete`].
     src_pos: Pos,
     tx_power_dbm: f64,
+    /// Audible radius ([`max_range_m`] at the audible floor), solved
+    /// once at begin time: the cull's disc radius.
+    reach_m: f64,
     /// Radios registered later are treated as out of range.
     radios_at_start: u32,
     /// Geometry epoch at begin time. While it still equals the medium's
@@ -154,6 +174,10 @@ struct Transmission {
     geom_epoch_at_start: u64,
     power: TxPower,
     completed: bool,
+    /// This record's position in `by_channel[channel]` and
+    /// `by_src[src]`, so retirement unlinks it with a swap-remove.
+    at_channel: u32,
+    at_src: u32,
 }
 
 /// One transmission slab slot: the slot's reuse generation plus the
@@ -226,6 +250,14 @@ pub struct Medium {
     /// so stale handles can never alias a reused slot.
     txs: Vec<TxSlot>,
     free_tx: Vec<u32>,
+    /// `(start, slot, gen)` of every transmission begun and not yet
+    /// seen completed: the minimum live entry is the retention horizon
+    /// of [`Self::prune`]. Completed or freed entries are popped lazily.
+    inflight_starts: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
+    /// `(end, slot, gen)` of every completed, still-retained
+    /// transmission, pushed by [`Self::commit_complete`]: `prune` pops
+    /// the prefix ending at or before the horizon.
+    completed_ends: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
     /// Retained tx slots bucketed by channel (index 1..=14). Only
     /// buckets within the interaction span are walked by the decode /
     /// CCA paths; interferers are explicitly id-sorted before any float
@@ -235,14 +267,13 @@ pub struct Medium {
     /// Dense (one entry per radio, nearly all empty), no hashing.
     by_src: Vec<Vec<u32>>,
     grid: SpatialGrid,
-    cache: PathLossCache,
     /// Per-source audible rows, valid while `geom_epoch` is unchanged.
     /// Dense, indexed by radio.
     audible_rows: Vec<Option<(u64, AudibleRow)>>,
     /// Scratch for the grid query in [`Self::audible_row`] (reused).
     cand_scratch: Vec<u32>,
-    /// Scratch for the freed-source list in [`Self::prune`] (reused).
-    prune_src_scratch: Vec<u32>,
+    /// Path-loss evaluations made by audible-row builds.
+    row_loss_evals: u64,
     /// Bumped whenever the radio set or any position changes.
     geom_epoch: u64,
     /// Bumped by *every* mutating entry point (`add_radio`, `set_pos`,
@@ -275,13 +306,14 @@ impl Medium {
             radios: Vec::new(),
             txs: Vec::new(),
             free_tx: Vec::new(),
+            inflight_starts: BinaryHeap::new(),
+            completed_ends: BinaryHeap::new(),
             by_channel: std::array::from_fn(|_| Vec::new()),
             by_src: Vec::new(),
             grid: SpatialGrid::default(),
-            cache: PathLossCache::default(),
             audible_rows: Vec::new(),
             cand_scratch: Vec::new(),
-            prune_src_scratch: Vec::new(),
+            row_loss_evals: 0,
             geom_epoch: 0,
             mutation_epoch: 0,
             row_reuses: 0,
@@ -325,9 +357,9 @@ impl Medium {
         RadioId(idx)
     }
 
-    /// Move a radio (client mobility). Invalidates the cached path
-    /// losses and audible rows involving this radio; transmissions
-    /// already in flight keep their begin-time power samples.
+    /// Move a radio (client mobility). Invalidates every cached audible
+    /// row; transmissions already in flight keep their begin-time power
+    /// samples.
     pub fn set_pos(&mut self, id: RadioId, pos: Pos) {
         let ri = id.0 as usize;
         let old = self.radios[ri].pos;
@@ -349,7 +381,7 @@ impl Medium {
                 continue;
             }
             if let TxPower::Sparse { audible, overrides } = &mut t.power {
-                let covered = audible.binary_search_by_key(&id.0, |e| e.0).is_ok()
+                let covered = audible.radio.binary_search(&id.0).is_ok()
                     || overrides.iter().any(|e| e.0 == id.0);
                 if !covered {
                     let p =
@@ -371,8 +403,8 @@ impl Medium {
     }
 
     /// Position-change epoch of a radio. Bumped by every [`set_pos`]
-    /// call that actually moves the radio; the pairwise path-loss cache
-    /// keys on it, so a bump proves the cached losses were invalidated.
+    /// call that actually moves the radio (a same-position call is a
+    /// no-op and leaves it unchanged).
     ///
     /// [`set_pos`]: Medium::set_pos
     pub fn pos_epoch(&self, id: RadioId) -> u64 {
@@ -380,8 +412,7 @@ impl Medium {
     }
 
     /// Retune a radio (channel hopping during scans / site audits).
-    /// Pure frequency change: path-loss cache and audible rows stay
-    /// valid.
+    /// Pure frequency change: audible rows stay valid.
     pub fn set_channel(&mut self, id: RadioId, channel: u8) {
         assert!((1..=14).contains(&channel), "invalid 802.11b channel");
         self.radios[id.0 as usize].channel = channel;
@@ -401,15 +432,15 @@ impl Medium {
 
     /// Deterministic (shadowing-free) received power estimate of `from`'s
     /// transmitter at `to`'s position — used by tooling (site-audit range
-    /// predictions), not by the decode path. Served from the shared
-    /// path-loss cache.
+    /// predictions), not by the decode path. Symmetric in geometry:
+    /// Euclidean distance is exactly symmetric, so only the transmit
+    /// powers can make the two directions differ.
     pub fn rssi_estimate_dbm(&self, from: RadioId, to: RadioId) -> f64 {
         let f = &self.radios[from.0 as usize];
         let t = &self.radios[to.0 as usize];
         f.tx_power_dbm
-            - self.cache.loss_db(
-                (from.0, f.pos, f.pos_epoch),
-                (to.0, t.pos, t.pos_epoch),
+            - path_loss_db(
+                f.pos.distance(t.pos),
                 self.params.ref_loss_db,
                 self.params.path_loss_exponent,
             )
@@ -418,9 +449,9 @@ impl Medium {
     /// The audible set of `src` at its current position: every other
     /// radio whose received power clears the audible floor, sorted by
     /// index. Served from the per-source row cache while the geometry is
-    /// unchanged; rebuilt from the spatial grid + path-loss cache
-    /// otherwise.
-    fn audible_row(&mut self, src: u32, src_pos: Pos, tx_power_dbm: f64) -> AudibleRow {
+    /// unchanged; rebuilt from the spatial grid otherwise. `range` is the
+    /// source's audible radius.
+    fn audible_row(&mut self, src: u32, src_pos: Pos, tx_power_dbm: f64, range: f64) -> AudibleRow {
         if let Some((epoch, row)) = &self.audible_rows[src as usize] {
             if *epoch == self.geom_epoch {
                 self.row_reuses += 1;
@@ -428,12 +459,6 @@ impl Medium {
             }
         }
         let floor = self.audible_floor_dbm;
-        let range = max_range_m(
-            tx_power_dbm,
-            floor,
-            self.params.ref_loss_db,
-            self.params.path_loss_exponent,
-        );
         let mut cand = std::mem::take(&mut self.cand_scratch);
         cand.clear();
         if range.is_finite() {
@@ -444,19 +469,17 @@ impl Medium {
         } else {
             cand.extend(0..self.radios.len() as u32);
         }
-        let src_epoch = self.radios[src as usize].pos_epoch;
         let mut audible = Vec::with_capacity(cand.len());
         for &ri in &cand {
             if ri == src {
                 continue;
             }
-            let r = &self.radios[ri as usize];
-            let loss = self.cache.loss_db(
-                (src, src_pos, src_epoch),
-                (ri, r.pos, r.pos_epoch),
+            let loss = path_loss_db(
+                src_pos.distance(self.radios[ri as usize].pos),
                 self.params.ref_loss_db,
                 self.params.path_loss_exponent,
             );
+            self.row_loss_evals += 1;
             let p = tx_power_dbm - loss;
             if p >= floor {
                 audible.push((ri, p));
@@ -464,7 +487,11 @@ impl Medium {
         }
         self.cand_scratch = cand;
         audible.sort_unstable_by_key(|e| e.0);
-        let row = Arc::new(audible);
+        let row = Arc::new(Row {
+            radio: audible.iter().map(|e| e.0).collect(),
+            dbm: audible.iter().map(|e| e.1).collect(),
+            mw: audible.iter().map(|e| dbm_to_mw(e.1)).collect(),
+        });
         self.audible_rows[src as usize] = Some((self.geom_epoch, Arc::clone(&row)));
         row
     }
@@ -485,6 +512,12 @@ impl Medium {
         let channel = radio.channel;
         let tx_power = radio.tx_power_dbm;
         let src_pos = radio.pos;
+        let reach_m = max_range_m(
+            tx_power,
+            self.audible_floor_dbm,
+            self.params.ref_loss_db,
+            self.params.path_loss_exponent,
+        );
 
         let sigma = self.params.shadowing_sigma_db;
         let power = if sigma > 0.0 || self.force_dense {
@@ -506,7 +539,7 @@ impl Medium {
             TxPower::Dense(rx_power)
         } else {
             TxPower::Sparse {
-                audible: self.audible_row(src.0, src_pos, tx_power),
+                audible: self.audible_row(src.0, src_pos, tx_power, reach_m),
                 overrides: Vec::new(),
             }
         };
@@ -524,14 +557,17 @@ impl Medium {
             bytes,
             src_pos,
             tx_power_dbm: tx_power,
+            reach_m,
             radios_at_start: self.radios.len() as u32,
             geom_epoch_at_start: self.geom_epoch,
             power,
             completed: false,
+            at_channel: self.by_channel[channel as usize].len() as u32,
+            at_src: self.by_src[src.0 as usize].len() as u32,
         };
-        // Reuse a freed slab slot when one exists. Safe because prune
-        // removes freed slots from every bucket before returning, so a
-        // reused slot can never already sit in a channel/source bucket.
+        // Reuse a freed slab slot when one exists. Safe because
+        // retirement unlinks a slot from its channel and source buckets
+        // before freeing it, so a reused slot never sits in a bucket.
         let slot = match self.free_tx.pop() {
             Some(s) => {
                 self.txs[s as usize].tx = Some(tx);
@@ -548,6 +584,7 @@ impl Medium {
         let gen = self.txs[slot as usize].gen;
         self.by_channel[channel as usize].push(slot);
         self.by_src[src.0 as usize].push(slot);
+        self.inflight_starts.push(Reverse((now, slot, gen)));
         self.mutation_epoch += 1;
         self.prune(now);
         (TxHandle { slot, gen }, end)
@@ -605,16 +642,9 @@ impl Medium {
         // world this one distance check removes ~99% of the interferer
         // set per plan.
         let cull_radius = (self.geom_epoch == tx.geom_epoch_at_start
-            && matches!(tx.power, TxPower::Sparse { .. }))
-        .then(|| {
-            max_range_m(
-                tx.tx_power_dbm,
-                self.audible_floor_dbm,
-                self.params.ref_loss_db,
-                self.params.path_loss_exponent,
-            )
-        })
-        .filter(|r| r.is_finite());
+            && matches!(tx.power, TxPower::Sparse { .. })
+            && tx.reach_m.is_finite())
+        .then_some(tx.reach_m);
         INTERF_SCRATCH.with(|cell| {
             let mut interferers = cell.borrow_mut();
             interferers.clear();
@@ -623,7 +653,7 @@ impl Medium {
                     if oslot == handle.slot {
                         continue;
                     }
-                    let o = self.txs[oslot as usize].tx.as_ref().unwrap();
+                    let o = self.live_tx(oslot);
                     if o.start >= tx.end || tx.start >= o.end {
                         continue;
                     }
@@ -631,25 +661,22 @@ impl Medium {
                         if self.geom_epoch == o.geom_epoch_at_start
                             && matches!(o.power, TxPower::Sparse { .. })
                         {
-                            let r_o = max_range_m(
-                                o.tx_power_dbm,
-                                self.audible_floor_dbm,
-                                self.params.ref_loss_db,
-                                self.params.path_loss_exponent,
-                            );
                             // The pad mirrors the audible-row build's
                             // rounding absorption; it only ever keeps an
                             // interferer the exact check would drop.
-                            let reach = (r_tx + r_o) * (1.0 + 1e-9) + 1.0;
+                            let reach = (r_tx + o.reach_m) * (1.0 + 1e-9) + 1.0;
                             if reach.is_finite() && o.src_pos.distance(tx.src_pos) > reach {
                                 continue;
                             }
                         }
                     }
-                    interferers.push(oslot);
+                    interferers.push(Interferer {
+                        slot: oslot,
+                        cursor: 0,
+                    });
                 }
             }
-            interferers.sort_unstable_by_key(|&s| self.txs[s as usize].tx.as_ref().unwrap().id);
+            interferers.sort_unstable_by_key(|it| self.live_tx(it.slot).id);
 
             let noise_mw = dbm_to_mw(self.params.noise_floor_dbm);
             let mut out = Vec::new();
@@ -665,17 +692,21 @@ impl Medium {
                     v.iter().enumerate().map(|(i, &p)| (i, p)),
                     tx,
                     handle.slot,
-                    &interferers,
+                    &mut interferers,
                     noise_mw,
                     &mut out,
                     &mut halfduplex_misses,
                     &mut sinr_drops,
                 ),
                 TxPower::Sparse { audible, .. } => self.scan_candidates(
-                    audible.iter().map(|&(i, p)| (i as usize, p)),
+                    audible
+                        .radio
+                        .iter()
+                        .zip(&audible.dbm)
+                        .map(|(&i, &p)| (i as usize, p)),
                     tx,
                     handle.slot,
-                    &interferers,
+                    &mut interferers,
                     noise_mw,
                     &mut out,
                     &mut halfduplex_misses,
@@ -695,14 +726,15 @@ impl Medium {
 
     /// The per-candidate decode loop of [`Self::plan_complete`], generic
     /// over the (dense or sparse) candidate iterator so neither path
-    /// allocates a candidate list.
+    /// allocates a candidate list. Candidates must ascend by radio
+    /// index: each sparse interferer's row cursor only moves forward.
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates<I: Iterator<Item = (usize, f64)>>(
         &self,
         candidates: I,
         tx: &Transmission,
         tx_slot: u32,
-        interferers: &[u32],
+        interferers: &mut [Interferer],
         noise_mw: f64,
         out: &mut Vec<Delivery>,
         halfduplex_misses: &mut u64,
@@ -725,7 +757,7 @@ impl Medium {
                 if oslot == tx_slot {
                     return false;
                 }
-                let o = self.txs[oslot as usize].tx.as_ref().unwrap();
+                let o = self.live_tx(oslot);
                 o.start < tx_end && tx_start < o.end
             });
             if was_transmitting {
@@ -734,8 +766,8 @@ impl Medium {
             }
             // Interference from every other overlapping transmission.
             let mut interf_mw = 0.0;
-            for &oslot in interferers {
-                let o = self.txs[oslot as usize].tx.as_ref().unwrap();
+            for it in interferers.iter_mut() {
+                let o = self.live_tx(it.slot);
                 if o.src == rid {
                     continue;
                 }
@@ -743,13 +775,33 @@ impl Medium {
                 let Some(rej) = aci_rejection_db(offset) else {
                     continue;
                 };
-                // Uniform audible-floor cutoff (PR 9): power below the
-                // floor was already invisible to decode and CCA; it now
-                // contributes no interference either. The dense arm
-                // stores sub-floor samples, so the explicit comparison
-                // keeps the dense and sparse paths bit-identical: a
-                // sparse row omits exactly the entries the dense check
-                // rejects.
+                // Uniform audible-floor cutoff: power below the floor
+                // was already invisible to decode and CCA; it adds no
+                // interference either. The dense arm stores sub-floor
+                // samples, so the explicit comparison keeps the dense
+                // and sparse paths bit-identical: a sparse row omits
+                // exactly the entries the dense check rejects.
+                if let TxPower::Sparse { audible, overrides } = &o.power {
+                    // Every row entry clears the floor. A co-channel
+                    // hit adds the row's stored milliwatts, which is
+                    // `dbm_to_mw(p - 0.0)` to the bit.
+                    let mut c = it.cursor as usize;
+                    while c < audible.radio.len() && audible.radio[c] < ri as u32 {
+                        c += 1;
+                    }
+                    it.cursor = c as u32;
+                    if audible.radio.get(c) == Some(&(ri as u32)) {
+                        interf_mw += if rej == 0.0 {
+                            audible.mw[c]
+                        } else {
+                            dbm_to_mw(audible.dbm[c] - rej)
+                        };
+                        continue;
+                    }
+                    if overrides.is_empty() {
+                        continue;
+                    }
+                }
                 let Some(p) = stored_rx_power_at(o, ri) else {
                     continue;
                 };
@@ -785,6 +837,9 @@ impl Medium {
         assert!(!t.completed, "complete_tx called twice");
         assert_eq!(t.end, plan.end, "commit at wrong time");
         t.completed = true;
+        let end = t.end;
+        self.completed_ends
+            .push(Reverse((end, plan.handle.slot, plan.handle.gen)));
         self.halfduplex_misses += plan.halfduplex_misses;
         self.sinr_drops += plan.sinr_drops;
         self.mutation_epoch += 1;
@@ -800,7 +855,7 @@ impl Medium {
         let r = &self.radios[radio.0 as usize];
         for ch in interacting_channels(r.channel) {
             for &oslot in &self.by_channel[ch] {
-                let t = self.txs[oslot as usize].tx.as_ref().unwrap();
+                let t = self.live_tx(oslot);
                 if t.start <= now && now < t.end && t.src != radio {
                     let Some(rej) = aci_rejection_db(t.channel.abs_diff(r.channel)) else {
                         continue;
@@ -820,7 +875,7 @@ impl Medium {
     /// ones that still overlap an in-flight frame) — the working-set the
     /// `complete_tx` scans walk. Exposed for tests and benches.
     pub fn tx_backlog(&self) -> usize {
-        self.txs.iter().filter(|s| s.tx.is_some()).count()
+        self.txs.len() - self.free_tx.len()
     }
 
     /// Total `(radio, dBm)` received-power entries stored across all
@@ -833,15 +888,17 @@ impl Medium {
             .filter_map(|s| s.tx.as_ref())
             .map(|t| match &t.power {
                 TxPower::Dense(v) => v.len(),
-                TxPower::Sparse { audible, overrides } => audible.len() + overrides.len(),
+                TxPower::Sparse { audible, overrides } => audible.radio.len() + overrides.len(),
             })
             .sum()
     }
 
-    /// Pairwise path-loss cache statistics: (pairs cached, hits,
-    /// misses). Exposed for tests and metrics mirroring.
+    /// Path-loss statistics in the shape of the retired pairwise cache's
+    /// `(pairs cached, hits, misses)`: now always `(0, 0, path-loss
+    /// evaluations made by audible-row builds)`. Nothing is cached per
+    /// pair, so every evaluation is a "miss".
     pub fn pathloss_cache_stats(&self) -> (usize, u64, u64) {
-        self.cache.stats()
+        (0, 0, self.row_loss_evals)
     }
 
     /// `begin_tx` calls served by a cached audible row (sparse path
@@ -867,57 +924,82 @@ impl Medium {
     /// earliest in-flight start, or `now` when the air is clear. A
     /// completed tx ending at or before `horizon` can never satisfy
     /// the overlap test again, so dropping it cannot change any SINR
-    /// sum.
+    /// sum. Both bounds come off min-heaps, so the cost is the number
+    /// of records retired (plus lazily popped stale starts), never the
+    /// slab size.
     fn prune(&mut self, now: SimTime) {
-        let horizon = self
-            .txs
-            .iter()
-            .filter_map(|s| s.tx.as_ref())
-            .filter(|t| !t.completed)
-            .map(|t| t.start)
-            .min()
-            .unwrap_or(now);
-        // Free prunable slots, remembering which channel buckets and
-        // source vecs they sat in — only those get swept, never the
-        // whole (O(radios)) bucket table.
-        let mut touched_ch: u16 = 0;
-        let mut srcs = std::mem::take(&mut self.prune_src_scratch);
-        srcs.clear();
-        for (i, s) in self.txs.iter_mut().enumerate() {
-            let prunable =
-                s.tx.as_ref()
-                    .is_some_and(|t| t.completed && t.end <= horizon);
-            if prunable {
-                let t = s.tx.take().unwrap();
-                s.gen = s.gen.wrapping_add(1);
-                touched_ch |= 1 << t.channel;
-                srcs.push(t.src.0);
-                self.free_tx.push(i as u32);
+        let mut horizon = now;
+        while let Some(&Reverse((start, slot, gen))) = self.inflight_starts.peek() {
+            let s = &self.txs[slot as usize];
+            if s.gen == gen && s.tx.as_ref().is_some_and(|t| !t.completed) {
+                horizon = start;
+                break;
             }
+            self.inflight_starts.pop();
         }
-        if touched_ch != 0 {
-            // A freed slot has `tx == None` and cannot have been reused
-            // yet (reuse only happens in a later begin_tx, after this
-            // sweep), so is_some() exactly separates live from freed.
-            // Bucket order is preserved for the survivors.
-            let txs = &self.txs;
-            for ch in 1..=14usize {
-                if touched_ch & (1 << ch) != 0 {
-                    self.by_channel[ch].retain(|&slot| txs[slot as usize].tx.is_some());
-                }
+        while let Some(&Reverse((end, slot, gen))) = self.completed_ends.peek() {
+            if end > horizon {
+                break;
             }
-            for &src in &srcs {
-                self.by_src[src as usize].retain(|&slot| txs[slot as usize].tx.is_some());
-            }
+            self.completed_ends.pop();
+            debug_assert_eq!(self.txs[slot as usize].gen, gen);
+            self.retire(slot);
         }
-        self.prune_src_scratch = srcs;
+    }
+
+    /// Free a completed slot: unlink it from its channel and source
+    /// buckets (swap-remove, fixing the moved record's back-index), bump
+    /// the generation so outstanding handles go stale, and recycle it.
+    fn retire(&mut self, slot: u32) {
+        let s = &mut self.txs[slot as usize];
+        let t = s.tx.take().expect("retiring a free slot");
+        s.gen = s.gen.wrapping_add(1);
+        self.free_tx.push(slot);
+        let bucket = &mut self.by_channel[t.channel as usize];
+        bucket.swap_remove(t.at_channel as usize);
+        if let Some(&moved) = bucket.get(t.at_channel as usize) {
+            self.txs[moved as usize]
+                .tx
+                .as_mut()
+                .expect(LIVE_SLOT)
+                .at_channel = t.at_channel;
+        }
+        let bucket = &mut self.by_src[t.src.0 as usize];
+        bucket.swap_remove(t.at_src as usize);
+        if let Some(&moved) = bucket.get(t.at_src as usize) {
+            self.txs[moved as usize]
+                .tx
+                .as_mut()
+                .expect(LIVE_SLOT)
+                .at_src = t.at_src;
+        }
+    }
+
+    /// The resident transmission of a slot taken from a bucket or an
+    /// interferer list.
+    #[inline]
+    fn live_tx(&self, slot: u32) -> &Transmission {
+        self.txs[slot as usize].tx.as_ref().expect(LIVE_SLOT)
     }
 }
 
+/// Why a slot read from a bucket is occupied: retirement unlinks a slot
+/// from its buckets before freeing it.
+const LIVE_SLOT: &str = "bucketed slot is live: retirement unlinks before freeing";
+
+/// One interferer of a plan: its slab slot plus, when it is sparse, a
+/// cursor into its audible row. Candidates ascend by radio index, so
+/// the cursor only moves forward and a whole plan walks each row once.
+#[derive(Clone, Copy)]
+struct Interferer {
+    slot: u32,
+    cursor: u32,
+}
+
 thread_local! {
-    /// Per-thread interferer-slot scratch for [`Medium::plan_complete`]
+    /// Per-thread interferer scratch for [`Medium::plan_complete`]
     /// (which runs concurrently on the rayon pool in the burst executor).
-    static INTERF_SCRATCH: std::cell::RefCell<Vec<u32>> =
+    static INTERF_SCRATCH: std::cell::RefCell<Vec<Interferer>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -932,9 +1014,10 @@ fn stored_rx_power_at(tx: &Transmission, ri: usize) -> Option<f64> {
     match &tx.power {
         TxPower::Dense(v) => v.get(ri).copied(),
         TxPower::Sparse { audible, overrides } => audible
-            .binary_search_by_key(&(ri as u32), |e| e.0)
+            .radio
+            .binary_search(&(ri as u32))
             .ok()
-            .map(|k| audible[k].1)
+            .map(|k| audible.dbm[k])
             .or_else(|| overrides.iter().find(|e| e.0 == ri as u32).map(|e| e.1)),
     }
 }
@@ -1230,7 +1313,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Sparse fast-path regression tests (cache / cull / overlap index)
+    // Sparse fast-path regression tests (rows / cull / overlap index)
     // ------------------------------------------------------------------
 
     #[test]
@@ -1282,7 +1365,7 @@ mod tests {
         };
         let (ds, t1) = fire(&mut m, SimTime::ZERO);
         assert!(ds.is_empty(), "b starts out of range");
-        // Walk b into range: the cached loss for (a, b) must refresh.
+        // Walk b into range: a's audible row must be rebuilt.
         m.set_pos(b, Pos::new(10.0, 0.0));
         assert!((m.rssi_estimate_dbm(a, b) - -55.0).abs() < 1e-9);
         let (ds, t2) = fire(&mut m, t1);
@@ -1291,7 +1374,7 @@ mod tests {
         // And back out again.
         m.set_pos(b, Pos::new(2000.0, 0.0));
         let (ds, _) = fire(&mut m, t2);
-        assert!(ds.is_empty(), "stale cache must not deliver to a far radio");
+        assert!(ds.is_empty(), "a stale row must not deliver to a far radio");
     }
 
     #[test]
@@ -1366,15 +1449,21 @@ mod tests {
     }
 
     #[test]
-    fn rssi_estimate_serves_from_cache() {
+    fn rssi_estimate_is_symmetric_and_exact() {
         let mut m = medium();
         let a = m.add_radio(Pos::new(0.0, 0.0), 1, 15.0);
-        let b = m.add_radio(Pos::new(10.0, 0.0), 1, 15.0);
+        let b = m.add_radio(Pos::new(30.0, 40.0), 1, 15.0);
         let first = m.rssi_estimate_dbm(a, b);
-        let (_, hits0, _) = m.pathloss_cache_stats();
         let second = m.rssi_estimate_dbm(b, a);
-        let (_, hits1, _) = m.pathloss_cache_stats();
         assert_eq!(first.to_bits(), second.to_bits(), "symmetric estimate");
-        assert!(hits1 > hits0, "reverse direction must hit the cache");
+        assert_eq!(
+            first.to_bits(),
+            (15.0 - path_loss_db(50.0, 40.0, 3.0)).to_bits(),
+            "the estimate is the path-loss model, nothing cached in between"
+        );
+        assert_eq!(m.pathloss_cache_stats(), (0, 0, 0), "no row was built");
+        let (h, end) = m.begin_tx(SimTime::ZERO, a, bytes(10), Bitrate::B1);
+        m.complete_tx(end, h);
+        assert_eq!(m.pathloss_cache_stats(), (0, 0, 1), "one row, one pair");
     }
 }

@@ -314,7 +314,9 @@ fn as_u64(item: &Item) -> Result<u64, Error> {
     u64::try_from(i).map_err(|_| Error::at(item.span, format!("{i} must be non-negative")))
 }
 
-fn as_f64(item: &Item) -> Result<f64, Error> {
+/// Any number, `inf` and `nan` included: the reader behind the checked
+/// [`as_f64`] and the key-specific checks that name their key.
+fn as_number(item: &Item) -> Result<f64, Error> {
     match item.value {
         Value::Float(f) => Ok(f),
         Value::Int(i) => Ok(i as f64),
@@ -325,10 +327,22 @@ fn as_f64(item: &Item) -> Result<f64, Error> {
     }
 }
 
+/// A finite number. No key means anything at `inf` or `nan`.
+fn as_f64(item: &Item) -> Result<f64, Error> {
+    let f = as_number(item)?;
+    if !f.is_finite() {
+        return Err(Error::at(
+            item.span,
+            format!("expected a finite number, got {f}"),
+        ));
+    }
+    Ok(f)
+}
+
 /// A shadowing standard deviation: finite and non-negative (σ = 0
 /// disables shadowing).
 fn as_sigma_db(item: &Item) -> Result<f64, Error> {
-    let sigma = as_f64(item)?;
+    let sigma = as_number(item)?;
     if !(sigma.is_finite() && sigma >= 0.0) {
         return Err(Error::at(
             item.span,
@@ -401,12 +415,30 @@ fn as_channel(item: &Item) -> Result<u8, Error> {
     Ok(i as u8)
 }
 
-fn as_pos(item: &Item) -> Result<Pos, Error> {
+/// Largest accepted coordinate magnitude, metres (1,000 km). It keeps
+/// the medium's `i32` grid-cell keys exact; real floors and cities span
+/// a few kilometres.
+const MAX_COORD_M: f64 = 1.0e6;
+
+/// A position `[x, y]` under `key`: both coordinates finite and within
+/// [`MAX_COORD_M`] of the origin on each axis.
+fn as_pos(item: &Item, key: &str) -> Result<Pos, Error> {
     let items = as_array(item)?;
     if items.len() != 2 {
-        return Err(Error::at(item.span, "position must be `[x, y]`"));
+        return Err(Error::at(
+            item.span,
+            format!("{key}: position must be `[x, y]`"),
+        ));
     }
-    Ok(Pos::new(as_f64(&items[0])?, as_f64(&items[1])?))
+    let (x, y) = (as_number(&items[0])?, as_number(&items[1])?);
+    let ok = |c: f64| c.is_finite() && c.abs() <= MAX_COORD_M;
+    if !(ok(x) && ok(y)) {
+        return Err(Error::at(
+            item.span,
+            format!("{key} must be finite with |x| and |y| at most 1000 km, got [{x}, {y}]"),
+        ));
+    }
+    Ok(Pos::new(x, y))
 }
 
 fn as_f64_vec(item: &Item) -> Result<Vec<f64>, Error> {
@@ -620,7 +652,7 @@ fn read_corp(t: &Table) -> Result<CorpScenarioCfg, Error> {
         cfg.mac_filter = as_bool(i)?;
     }
     if let Some(i) = s.take("victim_pos") {
-        cfg.victim_pos = as_pos(i)?;
+        cfg.victim_pos = as_pos(i, "victim_pos")?;
     }
     if let Some(i) = s.take("file_len") {
         cfg.file_len = as_usize(i)?;
@@ -652,7 +684,7 @@ fn read_corp_rogue(t: &Table) -> Result<RogueCfg, Error> {
     let mut s = Sect::new(t, "[corp.rogue]");
     let mut r = RogueCfg::default();
     if let Some(i) = s.take("pos") {
-        r.pos = as_pos(i)?;
+        r.pos = as_pos(i, "pos")?;
     }
     if let Some(i) = s.take("tx_power_dbm") {
         r.tx_power_dbm = as_f64(i)?;
@@ -711,7 +743,7 @@ fn read_e10(t: &Table) -> Result<E10Params, Error> {
         p.monitor_channels = as_channel_vec(i)?;
     }
     if let Some(i) = s.take("monitor_pos") {
-        p.monitor_pos = as_pos(i)?;
+        p.monitor_pos = as_pos(i, "monitor_pos")?;
     }
     if let Some(i) = s.take("match_window") {
         p.match_window = as_duration(i)?;
@@ -753,7 +785,7 @@ fn read_e10_evasion(t: &Table) -> Result<E10EvasionParams, Error> {
         p.monitor_channels = as_channel_vec(i)?;
     }
     if let Some(i) = s.take("monitor_pos") {
-        p.monitor_pos = as_pos(i)?;
+        p.monitor_pos = as_pos(i, "monitor_pos")?;
     }
     if let Some(i) = s.take("match_window") {
         p.match_window = as_duration(i)?;
@@ -787,7 +819,7 @@ fn read_ap(t: &Table) -> Result<ApSpec, Error> {
         ssid: as_str(s.require("ssid")?)?.to_string(),
         bssid: as_mac(s.require("bssid")?)?,
         channel: as_channel(s.require("channel")?)?,
-        pos: as_pos(s.require("pos")?)?,
+        pos: as_pos(s.require("pos")?, "pos")?,
         tx_power_dbm: s
             .take("tx_power_dbm")
             .map(as_f64)
@@ -849,6 +881,12 @@ fn read_population(t: &Table) -> Result<PopulationSpec, Error> {
         return Err(Error::at(
             area_item.span,
             "area must satisfy x0 < x1 and y0 < y1",
+        ));
+    }
+    if area.iter().any(|c| c.abs() > MAX_COORD_M) {
+        return Err(Error::at(
+            area_item.span,
+            "area corners must lie within 1000 km of the origin on each axis",
         ));
     }
     let mac_first = s.take("mac_first").map(as_u64).transpose()?.unwrap_or(1000);
@@ -1021,7 +1059,7 @@ fn read_rogue(t: &Table) -> Result<RogueSpec, Error> {
     let spec = RogueSpec {
         clone_of: as_str(s.require("clone_ap")?)?.to_string(),
         channel: as_channel(s.require("channel")?)?,
-        pos: as_pos(s.require("pos")?)?,
+        pos: as_pos(s.require("pos")?, "pos")?,
         tx_power_dbm: s
             .take("tx_power_dbm")
             .map(as_f64)
@@ -1048,7 +1086,7 @@ fn read_wids(t: &Table) -> Result<WidsSpec, Error> {
         },
         pos: match s.take("pos") {
             None => Pos::new(0.0, 0.0),
-            Some(i) => as_pos(i)?,
+            Some(i) => as_pos(i, "pos")?,
         },
     };
     s.finish()?;

@@ -66,7 +66,8 @@ pub enum Value {
     Str(String),
     /// Decimal or hex integer.
     Int(i64),
-    /// Float (any number containing `.`, `e` or `E`).
+    /// Float (any number containing `.`, `e` or `E`, or one of the
+    /// special values `inf` and `nan`, optionally signed).
     Float(f64),
     /// `true` / `false`.
     Bool(bool),
@@ -425,11 +426,13 @@ impl<'a> Lexer<'a> {
                 }
                 Value::Array(items)
             }
-            Some('t') | Some('f') => {
+            Some('t') | Some('f') | Some('i') | Some('n') => {
                 let word = self.bare_key()?;
                 match word.as_str() {
                     "true" => Value::Bool(true),
                     "false" => Value::Bool(false),
+                    "inf" => Value::Float(f64::INFINITY),
+                    "nan" => Value::Float(f64::NAN),
                     other => {
                         return Err(Error::at(span, format!("unknown literal `{other}`")));
                     }
@@ -488,7 +491,8 @@ impl<'a> Lexer<'a> {
                 .map(Value::Int)
                 .map_err(|_| Error::at(span, format!("invalid hex integer `{raw}`")));
         }
-        if clean.contains(['.', 'e', 'E']) {
+        let special = matches!(clean.trim_start_matches(['+', '-']), "inf" | "nan");
+        if special || clean.contains(['.', 'e', 'E']) {
             clean
                 .parse::<f64>()
                 .map(Value::Float)
@@ -580,6 +584,21 @@ mod tests {
 
         let err = parse("s = \"open\n").unwrap_err();
         assert!(err.to_string().contains("unterminated"), "{err}");
+    }
+
+    #[test]
+    fn special_floats_parse() {
+        let t = parse("a = inf\nb = -inf\nc = +inf\nd = nan\ne = -nan\n").unwrap();
+        let f = |k: &str| match t.get(k).unwrap().value {
+            Value::Float(f) => f,
+            ref other => panic!("{k}: {other:?}"),
+        };
+        assert_eq!(f("a"), f64::INFINITY);
+        assert_eq!(f("b"), f64::NEG_INFINITY);
+        assert_eq!(f("c"), f64::INFINITY);
+        assert!(f("d").is_nan() && f("e").is_nan());
+        let err = parse("x = nope\n").unwrap_err();
+        assert!(err.to_string().contains("unknown literal"), "{err}");
     }
 
     #[test]

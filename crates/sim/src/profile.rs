@@ -32,33 +32,39 @@ pub enum Phase {
     QueuePop = 0,
     /// Scheduling follow-up events (queue inserts, cancels).
     QueueSchedule = 1,
+    /// `Medium::begin_tx` — power sampling, audible-row builds and
+    /// retirement, run from the op barrier.
+    MediumBegin = 2,
     /// `Medium::plan_complete` — SINR/interference planning.
-    MediumPlan = 2,
+    MediumPlan = 3,
     /// `Medium::commit_complete` / `complete_tx` — state mutation.
-    MediumCommit = 3,
+    MediumCommit = 4,
     /// Frame delivery into radios/MACs/switches.
-    Deliver = 4,
+    Deliver = 5,
     /// Netstack polls (host timers, MAC state machines, apps).
-    Poll = 5,
-    /// Applying deferred ops (medium mutations, queue inserts, switch
-    /// forwarding) at the commit point, in canonical order.
-    OpCommit = 6,
+    Poll = 6,
+    /// Applying deferred ops at the commit point, in canonical order:
+    /// the barrier's own time, exclusive of the `MediumBegin` spans
+    /// nested inside it (the caller subtracts their [`Profiler::cycles`]
+    /// growth).
+    OpCommit = 7,
     /// Wall-clock time of parallel regions (plan batches, chain
     /// execution). Unlike every other phase — which accumulates
     /// *cumulative* worker time and can exceed wall time on a
     /// multi-thread pool — this one is measured from the coordinating
     /// thread, so `exec_wall / (deliver + poll + medium_plan)` reads
     /// directly as parallel efficiency.
-    ExecWall = 7,
+    ExecWall = 8,
 }
 
 /// Number of `Phase` variants (array sizing).
-pub const NUM_PHASES: usize = 8;
+pub const NUM_PHASES: usize = 9;
 
 /// Static labels, indexed by `Phase as usize`.
 pub const PHASE_NAMES: [&str; NUM_PHASES] = [
     "queue_pop",
     "queue_schedule",
+    "medium_begin",
     "medium_plan",
     "medium_commit",
     "deliver",
@@ -171,13 +177,17 @@ impl Profiler {
         self.kinds.len() - 1
     }
 
-    /// Attribute `now() - t0` to `phase`.
+    /// Attribute `now() - t0` to `phase`, returning the counter read
+    /// that ended the span: passed as the next span's `t0`, it chains
+    /// back-to-back spans at one read per span.
     #[inline(always)]
-    pub fn record(&mut self, phase: Phase, t0: u64) {
+    pub fn record(&mut self, phase: Phase, t0: u64) -> u64 {
+        let t1 = now();
         let c = &mut self.phases[phase as usize];
-        c.cycles = c.cycles.wrapping_add(now().wrapping_sub(t0));
+        c.cycles = c.cycles.wrapping_add(t1.wrapping_sub(t0));
         c.count += 1;
         self.probes += 1;
+        t1
     }
 
     /// Attribute `now() - t0` to `phase`, counting `n` items under the
@@ -192,6 +202,14 @@ impl Profiler {
         self.probes += 1;
     }
 
+    /// Cycles accumulated in `phase` so far. The difference of two
+    /// readings is the time spans nested inside an outer span spent in
+    /// `phase` — what the outer span subtracts to record self time.
+    #[inline(always)]
+    pub fn cycles(&self, phase: Phase) -> u64 {
+        self.phases[phase as usize].cycles
+    }
+
     /// Fold externally measured cycles into `phase` — the merge path for
     /// spans taken on pool workers, where `&mut self` is unavailable.
     /// `probes` is how many `now()` pairs produced the total, so the
@@ -204,13 +222,16 @@ impl Profiler {
         self.probes += probes;
     }
 
-    /// Attribute `now() - t0` to the registered kind `idx`.
+    /// Attribute `now() - t0` to the registered kind `idx`, returning
+    /// the counter read that ended the span (as [`Self::record`]).
     #[inline(always)]
-    pub fn record_kind(&mut self, idx: usize, t0: u64) {
+    pub fn record_kind(&mut self, idx: usize, t0: u64) -> u64 {
+        let t1 = now();
         let c = &mut self.kinds[idx].1;
-        c.cycles = c.cycles.wrapping_add(now().wrapping_sub(t0));
+        c.cycles = c.cycles.wrapping_add(t1.wrapping_sub(t0));
         c.count += 1;
         self.probes += 1;
+        t1
     }
 
     /// Fold externally measured cycles into kind `idx` (pool merge path).
@@ -306,6 +327,32 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let s = p.snapshot();
         assert_eq!(s.phases[Phase::QueuePop as usize].2, 40);
+    }
+
+    #[test]
+    fn chained_spans_partition_the_interval() {
+        let mut p = Profiler::new();
+        let k = p.register_kind("event");
+        let busy = || {
+            let mut x = 0u64;
+            for i in 0..20_000u64 {
+                x = x.wrapping_add(i * i);
+            }
+            std::hint::black_box(x);
+        };
+        let t0 = now();
+        busy();
+        let t = p.record(Phase::MediumPlan, t0);
+        busy();
+        let t = p.record(Phase::Deliver, t);
+        busy();
+        let t1 = p.record_kind(k, t0);
+        // A span that shares both end reads costs no probe of its own.
+        p.add_cycles(Phase::OpCommit, t1.wrapping_sub(t), 1, 0);
+        let phases =
+            p.cycles(Phase::MediumPlan) + p.cycles(Phase::Deliver) + p.cycles(Phase::OpCommit);
+        assert_eq!(phases, p.kinds[k].1.cycles, "laps sum to the event span");
+        assert_eq!(p.probes, 3);
     }
 
     #[test]

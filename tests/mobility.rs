@@ -135,9 +135,9 @@ fn returning_home_reverses_the_handover() {
 // declarative layer. The compiler turns `[population.mobility]` into
 // walkers stepped on the scenario tick; every applied move must go
 // through `Medium::set_pos` and therefore bump the moved radio's
-// position epoch (invalidating its path-loss cache rows). The epoch
+// position epoch (and invalidate the medium's audible rows). The epoch
 // bookkeeping is what keeps a 500-client waypoint scenario honest — a
-// stale cache would silently freeze the radio environment.
+// stale row would silently freeze the radio environment.
 
 const WAYPOINT_SRC: &str = r#"
 name = "mobility-ticks"
@@ -193,7 +193,7 @@ fn scenario_tick_mobility_bumps_pathloss_epochs_per_move() {
         .sum();
     assert_eq!(
         epoch_sum, run.stats.moves,
-        "every waypoint move must invalidate the mover's path-loss cache"
+        "every waypoint move must bump the mover's position epoch"
     );
 
     // And every walker actually moved (no one-walker-does-everything

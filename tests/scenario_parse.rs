@@ -206,6 +206,39 @@ fn shadowing_sigma_must_be_finite_and_non_negative() {
 }
 
 #[test]
+fn positions_must_be_finite_and_within_1000_km() {
+    // A file: `nan` and `inf` in an AP position, and a monitor position
+    // in the paper world, are spanned errors naming their key.
+    for bad in [
+        "[nan, 0.0]",
+        "[0.0, inf]",
+        "[-inf, 0.0]",
+        "[1000000.5, 0.0]",
+    ] {
+        let err = err_of(&VALID.replace("[10.0, 0.0]", bad));
+        assert!(err.msg.contains("pos must be finite"), "{bad}: {err}");
+        assert_eq!(err.span.line, 10, "{bad}: the key's own line: {err}");
+    }
+    let e10 = "name = \"e10\"\n[e10]\nmonitor_pos = [0.0, 0.0]\n[report]\nkind = \"e10\"\n";
+    assert!(parse_scenario(e10).is_ok());
+    let err = err_of(&e10.replace("[0.0, 0.0]", "[nan, 1.0]"));
+    assert!(err.msg.contains("monitor_pos"), "{err}");
+    assert_eq!(err.span.line, 3, "{err}");
+    // The bound is inclusive, and the checked-in scale stays far below.
+    assert!(parse_scenario(&VALID.replace("[10.0, 0.0]", "[1000000.0, -1000000.0]")).is_ok());
+
+    // An override: the ROADMAP probe `ap.0.pos=[1e300,0.0]`.
+    let err = load_source(VALID, &["ap.0.pos=[1e300,0.0]".to_string()])
+        .expect_err("a 1e300 m position must be rejected");
+    assert!(err.msg.contains("pos must be finite"), "{err}");
+    assert!(err.span.line > 0, "error must carry a source span: {err}");
+
+    // Any other number must be finite too (`nan` is never a setting).
+    let err = err_of(&VALID.replace("channel = 6", "channel = 6\ntx_power_dbm = nan"));
+    assert!(err.msg.contains("finite"), "{err}");
+}
+
+#[test]
 fn summary_scenarios_need_something_to_run() {
     let err = err_of("name = \"empty\"\n");
     assert!(err.msg.contains("nothing to run"), "{err}");
