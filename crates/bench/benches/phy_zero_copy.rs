@@ -12,10 +12,11 @@
 //!   detected by pointer containment of each capture's payload within
 //!   the transmitted `Bytes` allocation.
 //!
-//! Results (plus the committed pre-refactor baseline) are written to
+//! Results are written, with the host's CPU count, to
 //! `BENCH_phy_zero_copy.json` at the workspace root so CI can archive
-//! the perf trajectory per PR. `-- --test` runs a shortened smoke
-//! sweep; the JSON is written either way.
+//! the perf trajectory per PR. Each rate is the best of `reps_best_of`
+//! timed runs. `-- --test` runs a shortened smoke sweep; the JSON is
+//! written either way.
 
 use std::time::Instant;
 
@@ -33,15 +34,6 @@ const PAYLOAD_LEN: usize = 256;
 
 /// Monitor counts swept (the dense-monitor E10 axis).
 const MONITORS: [usize; 3] = [1, 3, 8];
-
-/// Pre-refactor baseline, measured on this machine at the commit that
-/// introduced this bench (before zero-copy delivery + tx pruning):
-/// (monitors, frames_per_sec, bytes_copied_per_frame).
-const BASELINE: [(usize, f64, f64); 3] = [
-    (1, 590882.0, 256.0),
-    (3, 243569.0, 768.0),
-    (8, 94430.0, 2048.0),
-];
 
 struct Sweep {
     monitors: usize,
@@ -129,44 +121,30 @@ fn sweep(frames: usize, reps: usize) -> Vec<Sweep> {
         .collect()
 }
 
-fn write_json(path: &std::path::Path, frames: usize, results: &[Sweep]) {
-    let mut rows = Vec::new();
-    for s in results {
-        let (_, base_fps, base_copied) = BASELINE
-            .iter()
-            .find(|(m, _, _)| *m == s.monitors)
-            .copied()
-            .unwrap_or((s.monitors, 0.0, 0.0));
-        let speedup = if base_fps > 0.0 {
-            s.frames_per_sec / base_fps
-        } else {
-            0.0
-        };
-        rows.push(format!(
-            concat!(
-                "    {{\"monitors\": {}, \"frames_per_sec\": {:.0}, ",
-                "\"bytes_copied_per_frame\": {:.1}, \"deliveries\": {}, ",
-                "\"baseline_frames_per_sec\": {:.0}, ",
-                "\"baseline_bytes_copied_per_frame\": {:.1}, ",
-                "\"speedup\": {:.2}}}"
-            ),
-            s.monitors,
-            s.frames_per_sec,
-            s.bytes_copied_per_frame,
-            s.deliveries,
-            base_fps,
-            base_copied,
-            speedup,
-        ));
-    }
+fn write_json(path: &std::path::Path, frames: usize, reps: usize, results: &[Sweep]) {
+    let rows: Vec<String> = results
+        .iter()
+        .map(|s| {
+            format!(
+                concat!(
+                    "    {{\"monitors\": {}, \"frames_per_sec\": {:.0}, ",
+                    "\"bytes_copied_per_frame\": {:.1}, \"deliveries\": {}}}"
+                ),
+                s.monitors, s.frames_per_sec, s.bytes_copied_per_frame, s.deliveries,
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"phy_zero_copy\",\n",
             "  \"payload_len\": {},\n  \"frames_per_run\": {},\n",
+            "  \"reps_best_of\": {},\n  \"host_cpus\": {},\n",
             "  \"results\": [\n{}\n  ]\n}}\n"
         ),
         PAYLOAD_LEN,
         frames,
+        reps,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows.join(",\n")
     );
     std::fs::write(path, json).expect("write BENCH_phy_zero_copy.json");
@@ -187,6 +165,6 @@ fn main() {
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_phy_zero_copy.json");
-    write_json(&path, frames, &results);
+    write_json(&path, frames, reps, &results);
     println!("wrote {}", path.display());
 }

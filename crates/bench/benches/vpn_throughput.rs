@@ -1,4 +1,5 @@
-//! vpn_throughput — records/sec through the full VPN record path.
+//! vpn_throughput — records/sec through the full VPN record path, and
+//! handshakes/sec through its Diffie–Hellman exchange.
 //!
 //! Drives one established client/server session pair exactly the way
 //! the tunnel does in steady state: `seal_record` produces the encoded
@@ -14,32 +15,28 @@
 //!   decrypts in place and reports 0. A pointer-containment audit
 //!   cross-checks that the returned plaintext aliases the wire buffer.
 //!
-//! Results (plus the committed pre-optimization baseline) are written
-//! to `BENCH_vpn_throughput.json` at the workspace root so CI can
-//! archive the perf trajectory per PR. `-- --test` runs a shortened
-//! smoke sweep; the JSON is written either way.
+//! The handshake leg times one side's key exchange — `DhKeyPair::generate`
+//! then `agree` with the peer's public value — and, in the same process,
+//! the same two exponentiations through the `BigUint` reference oracle.
+//! It asserts both give the same bytes and reports
+//! `dh_speedup_vs_biguint`, the ratio of the two rates.
+//!
+//! Results go to `BENCH_vpn_throughput.json` at the workspace root, with
+//! the host's CPU count, so CI can archive the perf trajectory per PR.
+//! Every rate is the best of `reps_best_of` timed runs. `-- --test` runs
+//! a shortened smoke sweep; the JSON is written either way.
 
 use std::time::Instant;
 
 use criterion::black_box;
+use rogue_crypto::bigint::BigUint;
+use rogue_crypto::dh::{DhKeyPair, ELEMENT_LEN, EXPONENT_LEN, MODP_1024};
 use rogue_sim::{Seed, SimRng};
 use rogue_vpn::protocol::{gen_keypair, Message, SessionCrypto};
 
 /// Inner-packet sizes swept: tiny (ACK-ish), small data, and the
 /// near-MTU size that dominates a bulk download through the tunnel.
 const PAYLOAD_LENS: [usize; 3] = [64, 256, 1400];
-
-/// Pre-optimization baseline, measured on this machine at the commit
-/// that introduced this bench (byte-at-a-time ChaCha20/HMAC, per-record
-/// ipad/opad hashing, seal→Vec→encode→Vec copy chain):
-/// (payload_len, records_per_sec, bytes_copied_per_record). The old
-/// path copied the payload at seal (`to_vec`), at encode (ciphertext
-/// into the wire Vec) and at open (ciphertext into the plaintext Vec).
-const BASELINE: [(usize, f64, f64); 3] = [
-    (64, 296184.0, 192.0),
-    (256, 175631.0, 768.0),
-    (1400, 50520.0, 4200.0),
-];
 
 struct Sweep {
     payload_len: usize,
@@ -116,51 +113,117 @@ fn sweep(records: usize, reps: usize) -> Vec<Sweep> {
         .collect()
 }
 
-fn write_json(path: &std::path::Path, records: usize, results: &[Sweep]) {
-    let mut rows = Vec::new();
-    for s in results {
-        let (_, base_rps, base_copied) = BASELINE
-            .iter()
-            .find(|(l, _, _)| *l == s.payload_len)
-            .copied()
-            .unwrap_or((s.payload_len, 0.0, 0.0));
-        let speedup = if base_rps > 0.0 {
-            s.records_per_sec / base_rps
-        } else {
-            0.0
-        };
-        rows.push(format!(
-            concat!(
-                "    {{\"payload_len\": {}, \"records_per_sec\": {:.0}, ",
-                "\"mb_per_sec\": {:.1}, \"bytes_copied_per_record\": {:.1}, ",
-                "\"baseline_records_per_sec\": {:.0}, ",
-                "\"baseline_bytes_copied_per_record\": {:.1}, ",
-                "\"speedup\": {:.2}}}"
-            ),
-            s.payload_len,
-            s.records_per_sec,
-            s.mb_per_sec,
-            s.bytes_copied_per_record,
-            base_rps,
-            base_copied,
-            speedup,
-        ));
+struct Handshakes {
+    per_run: usize,
+    /// `generate` + `agree` per second (fixed-width Montgomery path).
+    per_sec: f64,
+    /// The same two exponentiations through `BigUint::pow_mod`.
+    biguint_per_sec: f64,
+}
+
+/// One side of a handshake through the reference oracle: the public
+/// value g^x and the secret peer^x, with `generate`'s clamp.
+fn biguint_handshake(random: &[u8; EXPONENT_LEN], peer: &BigUint, p: &BigUint) -> Vec<u8> {
+    let mut x = *random;
+    x[0] |= 0x80;
+    let x = BigUint::from_be_bytes(&x);
+    let public = BigUint::from_u64(2).pow_mod(&x, p);
+    let mut out = public.to_be_bytes(ELEMENT_LEN);
+    out.extend(peer.pow_mod(&x, p).to_be_bytes(ELEMENT_LEN));
+    out
+}
+
+/// Times `per_run` handshakes against one fixed peer on both paths,
+/// best of `reps`, after checking the two paths agree byte for byte.
+fn handshakes(per_run: usize, reps: usize) -> Handshakes {
+    let peer = DhKeyPair::generate(&[0x5A; EXPONENT_LEN]).public;
+    let peer_n = BigUint::from_be_bytes(&peer);
+    let p = BigUint::from_be_bytes(MODP_1024);
+    // Distinct per-handshake randomness, as the simulator's RNG draws it.
+    let mut rng = SimRng::new(Seed(2));
+    let randomness: Vec<[u8; EXPONENT_LEN]> = (0..per_run)
+        .map(|_| {
+            let mut r = [0u8; EXPONENT_LEN];
+            rng.fill_bytes(&mut r);
+            r
+        })
+        .collect();
+    for r in randomness.iter().take(4) {
+        let kp = DhKeyPair::generate(r);
+        let mut fast = kp.public.clone();
+        fast.extend(kp.agree(&peer).expect("valid peer"));
+        assert_eq!(fast, biguint_handshake(r, &peer_n, &p), "DH paths disagree");
     }
+    let best = |run: &dyn Fn()| {
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                run();
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let fast = best(&|| {
+        for r in &randomness {
+            let kp = DhKeyPair::generate(r);
+            black_box(kp.agree(&peer));
+        }
+    });
+    let slow = best(&|| {
+        for r in &randomness {
+            black_box(biguint_handshake(r, &peer_n, &p));
+        }
+    });
+    Handshakes {
+        per_run,
+        per_sec: per_run as f64 / fast,
+        biguint_per_sec: per_run as f64 / slow,
+    }
+}
+
+fn write_json(
+    path: &std::path::Path,
+    records: usize,
+    reps: usize,
+    results: &[Sweep],
+    hs: &Handshakes,
+) {
+    let rows: Vec<String> = results
+        .iter()
+        .map(|s| {
+            format!(
+                concat!(
+                    "    {{\"payload_len\": {}, \"records_per_sec\": {:.0}, ",
+                    "\"mb_per_sec\": {:.1}, \"bytes_copied_per_record\": {:.1}}}"
+                ),
+                s.payload_len, s.records_per_sec, s.mb_per_sec, s.bytes_copied_per_record,
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"vpn_throughput\",\n",
-            "  \"records_per_run\": {},\n",
-            "  \"results\": [\n{}\n  ]\n}}\n"
+            "  \"records_per_run\": {},\n  \"reps_best_of\": {},\n",
+            "  \"host_cpus\": {},\n",
+            "  \"results\": [\n{}\n  ],\n",
+            "  \"handshake\": {{\"handshakes_per_run\": {}, \"handshakes_per_sec\": {:.0}, ",
+            "\"biguint_handshakes_per_sec\": {:.0}, \"dh_speedup_vs_biguint\": {:.2}}}\n}}\n"
         ),
         records,
-        rows.join(",\n")
+        reps,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rows.join(",\n"),
+        hs.per_run,
+        hs.per_sec,
+        hs.biguint_per_sec,
+        hs.per_sec / hs.biguint_per_sec,
     );
     std::fs::write(path, json).expect("write BENCH_vpn_throughput.json");
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let (records, reps) = if smoke { (500, 2) } else { (20000, 5) };
+    let (records, handshakes_per_run, reps) = if smoke { (500, 8, 2) } else { (20000, 200, 5) };
 
     let results = sweep(records, reps);
     println!("vpn_throughput ({records} records/run)");
@@ -170,9 +233,16 @@ fn main() {
             s.payload_len, s.records_per_sec, s.mb_per_sec, s.bytes_copied_per_record
         );
     }
+    let hs = handshakes(handshakes_per_run, reps);
+    println!(
+        "  handshake (generate + agree)  {:>8.0} /s   BigUint oracle {:>6.0} /s   speedup {:.2}x",
+        hs.per_sec,
+        hs.biguint_per_sec,
+        hs.per_sec / hs.biguint_per_sec
+    );
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_vpn_throughput.json");
-    write_json(&path, records, &results);
+    write_json(&path, records, reps, &results, &hs);
     println!("wrote {}", path.display());
 }

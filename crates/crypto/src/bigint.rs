@@ -1,11 +1,13 @@
-//! Minimal variable-length unsigned big integer for Diffie–Hellman.
+//! Minimal variable-length unsigned big integer: the reference oracle
+//! for [`crate::dh`].
 //!
-//! Supports exactly what [`crate::dh`] needs: comparison, multiplication,
-//! division with remainder (Knuth Algorithm D over base-2³² digits) and
-//! modular exponentiation. Handshakes happen a handful of times per
-//! simulated world, so clarity wins over Montgomery tricks — but division
-//! is real long division, not bit-at-a-time, so a 1024-bit `pow_mod` stays
-//! in the low milliseconds even in debug builds.
+//! [`crate::dh`] runs its exponentiations on fixed-width Montgomery limbs
+//! specialised to the MODP-1024 prime; this type is the general, simple
+//! formulation those are checked against (`tests/crypto_equivalence.rs`
+//! and the `vpn_throughput` bench's A/B leg). It supports comparison,
+//! multiplication, division with remainder (Knuth Algorithm D over
+//! base-2³² digits) and left-to-right binary modular exponentiation, and
+//! allocates freely: clarity wins over speed here.
 //!
 //! Values are little-endian vectors of u32 digits with no trailing zeros
 //! (canonical form).

@@ -20,7 +20,9 @@
 //!   paper's SSH transport cipher; any strong stream cipher preserves the
 //!   argument),
 //! * [`dh`] — finite-field Diffie–Hellman over the RFC 2409 Group 2
-//!   modulus with an in-crate fixed-width big integer.
+//!   modulus, on fixed-width Montgomery limbs,
+//! * [`bigint`] — a general big integer, kept as the reference oracle
+//!   the `dh` arithmetic is tested against.
 //!
 //! **Not constant-time, not for production use** — this is a faithful
 //! simulation substrate, including WEP precisely *because* it is broken.

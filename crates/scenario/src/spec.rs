@@ -470,24 +470,41 @@ fn tables_of<'a>(sect: &mut Sect<'a>, key: &str, what: &str) -> Result<Vec<&'a T
 // ---------------------------------------------------------------------
 // scenario assembly
 
+/// Most ticks a summary run may take over its duration. Far more than
+/// any real scenario needs (`campus_waypoint_500` takes 160), and it
+/// keeps a typo such as `tick = "1ns"` from becoming an unbounded run.
+const MAX_TICKS: u64 = 1_000_000;
+
 /// Validate a parsed root table into a [`Scenario`].
 pub fn from_table(root: &Table) -> Result<Scenario, Error> {
     let mut top = Sect::new(root, "scenario");
 
     let name = as_str(top.require("name")?)?.to_string();
     let seed = Seed(top.take("seed").map(as_u64).transpose()?.unwrap_or(1));
-    let duration = top
-        .take("duration")
+    let duration_item = top.take("duration");
+    let duration = duration_item
         .map(as_duration)
         .transpose()?
         .unwrap_or(SimDuration::from_secs(30));
-    let tick = top
-        .take("tick")
+    let tick_item = top.take("tick");
+    let tick = tick_item
         .map(as_duration)
         .transpose()?
         .unwrap_or(SimDuration::from_millis(100));
+    // Blame the tick if it was given, else the duration it divides.
+    let tick_span = tick_item.or(duration_item).map_or(root.span, |i| i.span);
     if tick == SimDuration::ZERO {
-        return Err(Error::at(root.span, "tick must be positive"));
+        return Err(Error::at(tick_span, "tick must be positive"));
+    }
+    let ticks = duration.as_nanos().div_ceil(tick.as_nanos());
+    if ticks > MAX_TICKS {
+        return Err(Error::at(
+            tick_span,
+            format!(
+                "tick {tick} gives {ticks} ticks over duration {duration}; \
+                 at most {MAX_TICKS} are allowed"
+            ),
+        ));
     }
 
     let medium = match top.take("medium") {

@@ -9,9 +9,17 @@
 //! expected bytes through a deliberately naive path (one byte per
 //! `update`, pads built by hand from RFC 2104) and requires exact
 //! equality at arbitrary lengths, splits, and resumption points.
+//!
+//! The DH exponentiation follows the same rule: the fixed-width
+//! Montgomery path in `rogue_crypto::dh` must equal the general
+//! `BigUint::pow_mod` byte for byte, and `DhKeyPair::agree`, which reads
+//! attacker-controlled bytes, must accept exactly the non-degenerate
+//! elements and derive the reference secret from them.
 
 use proptest::prelude::*;
+use rogue_crypto::bigint::BigUint;
 use rogue_crypto::chacha20::ChaCha20;
+use rogue_crypto::dh::{modp_pow, DhKeyPair, ELEMENT_LEN, EXPONENT_LEN, MODP_1024};
 use rogue_crypto::hmac::{hmac_sha1, HmacSha1};
 use rogue_crypto::sha1::Sha1;
 use rogue_crypto::Rc4;
@@ -48,7 +56,164 @@ fn hmac_sha1_reference(key: &[u8], msg: &[u8]) -> [u8; 20] {
     outer.finalize()
 }
 
+fn modp() -> BigUint {
+    BigUint::from_be_bytes(MODP_1024)
+}
+
+/// p − 1, the one element besides 0 and 1 that `agree` must refuse.
+fn modp_minus_one() -> Vec<u8> {
+    let mut pm1 = MODP_1024.to_vec();
+    pm1[ELEMENT_LEN - 1] &= 0xFE; // p is odd
+    pm1
+}
+
+/// `base^exp mod p` through the general big integer.
+fn pow_reference(base: &[u8], exp: &[u8]) -> Vec<u8> {
+    BigUint::from_be_bytes(base)
+        .pow_mod(&BigUint::from_be_bytes(exp), &modp())
+        .to_be_bytes(ELEMENT_LEN)
+}
+
+/// Big-endian element bytes of a small value.
+fn small(v: u8) -> [u8; ELEMENT_LEN] {
+    let mut b = [0u8; ELEMENT_LEN];
+    b[ELEMENT_LEN - 1] = v;
+    b
+}
+
+/// Montgomery `modp_pow` == `BigUint::pow_mod` at the bases and
+/// exponents where a windowed, reduced-once path could slip: zero and
+/// one, the generator, p − 1, unreduced bases (p, 2¹⁰²⁴ − 1), empty and
+/// zero-padded exponents, and all-ones exponents.
+#[test]
+fn montgomery_pow_matches_biguint_at_edge_cases() {
+    let p_bytes: [u8; ELEMENT_LEN] = MODP_1024.try_into().unwrap();
+    let pm1: [u8; ELEMENT_LEN] = modp_minus_one().try_into().unwrap();
+    let bases = [
+        small(0),
+        small(1),
+        small(2),
+        pm1,
+        p_bytes,
+        [0xFF; ELEMENT_LEN],
+    ];
+    let exps: [&[u8]; 8] = [
+        &[],
+        &[0],
+        &[1],
+        &[0, 0, 0, 1],
+        &[0x10],
+        &[0xFF; EXPONENT_LEN],
+        &[0xFF; ELEMENT_LEN],
+        &pm1,
+    ];
+    for base in &bases {
+        for exp in exps {
+            assert_eq!(
+                modp_pow(base, exp).to_vec(),
+                pow_reference(base, exp),
+                "base {:?} exp {:?}",
+                BigUint::from_be_bytes(base),
+                BigUint::from_be_bytes(exp)
+            );
+        }
+    }
+}
+
+/// Montgomery `modp_pow` == `BigUint::pow_mod` for random bases below p
+/// and random full 1024-bit exponents. A plain loop of 16 cases rather
+/// than a 64-case proptest: the reference costs about 130 ms per
+/// full-width exponent in a debug build.
+#[test]
+fn montgomery_pow_matches_biguint_full_exponents() {
+    let mut rng = proptest::test_runner::Rng::deterministic("full_exponents");
+    let mut cases = 0;
+    while cases < 16 {
+        let base = any::<[u8; ELEMENT_LEN]>().sample(&mut rng);
+        let exp = any::<[u8; ELEMENT_LEN]>().sample(&mut rng);
+        if BigUint::from_be_bytes(&base) >= modp() {
+            continue;
+        }
+        assert_eq!(
+            modp_pow(&base, &exp).to_vec(),
+            pow_reference(&base, &exp),
+            "case {cases}"
+        );
+        cases += 1;
+    }
+}
+
 proptest! {
+    /// Montgomery `modp_pow` == `BigUint::pow_mod` for random bases
+    /// below p and random 256-bit exponents (the handshake's shape).
+    #[test]
+    fn montgomery_pow_matches_biguint_short_exponents(
+        base in any::<[u8; ELEMENT_LEN]>(),
+        exp in any::<[u8; EXPONENT_LEN]>(),
+    ) {
+        prop_assume!(BigUint::from_be_bytes(&base) < modp());
+        prop_assert_eq!(modp_pow(&base, &exp).to_vec(), pow_reference(&base, &exp));
+    }
+
+    /// `generate` == `BigUint::pow_mod` of the generator 2 by the
+    /// clamped exponent.
+    #[test]
+    fn generate_matches_biguint(random in any::<[u8; EXPONENT_LEN]>()) {
+        let mut exp = random;
+        exp[0] |= 0x80;
+        prop_assert_eq!(DhKeyPair::generate(&random).public, pow_reference(&small(2), &exp));
+    }
+
+    /// Fermat: a^(p−1) = 1 for every nonzero a below the prime p.
+    #[test]
+    fn montgomery_pow_fermat(base in any::<[u8; ELEMENT_LEN]>()) {
+        let a = BigUint::from_be_bytes(&base);
+        prop_assume!(!a.is_zero() && a < modp());
+        prop_assert_eq!(modp_pow(&base, &modp_minus_one()), small(1));
+    }
+
+    /// `agree` on attacker-chosen peer bytes: any length, the degenerate
+    /// elements, values ≥ p, and 128 random bytes. It never panics,
+    /// returns `None` exactly for a wrong length, 0, 1, p − 1 and values
+    /// ≥ p, and otherwise yields the reference secret.
+    #[test]
+    fn agree_rejects_exactly_the_degenerate_peers(
+        kind in 0u8..10,
+        noise in any::<[u8; ELEMENT_LEN]>(),
+        any_len in proptest::collection::vec(any::<u8>(), 0..300),
+        random in any::<[u8; EXPONENT_LEN]>(),
+    ) {
+        let peer: Vec<u8> = match kind {
+            0 => any_len,
+            1 => small(0).to_vec(),
+            2 => small(1).to_vec(),
+            3 => modp_minus_one(),
+            4 => MODP_1024.to_vec(),
+            5 => {
+                // Above p: p's ninth byte is 0xC9.
+                let mut v = noise.to_vec();
+                v[..16].fill(0xFF);
+                v
+            }
+            _ => noise.to_vec(),
+        };
+        let v = BigUint::from_be_bytes(&peer);
+        let degenerate = peer.len() != ELEMENT_LEN
+            || v.is_zero()
+            || v == BigUint::one()
+            || peer == modp_minus_one()
+            || v >= modp();
+        let kp = DhKeyPair::generate(&random);
+        let got = kp.agree(&peer);
+        prop_assert_eq!(got.is_none(), degenerate, "peer {:?} len {}", v, peer.len());
+        if let Some(secret) = got {
+            // `generate` clamps the exponent's top bit.
+            let mut exp = random;
+            exp[0] |= 0x80;
+            prop_assert_eq!(secret, pow_reference(&peer, &exp));
+        }
+    }
+
     /// Block-batched ChaCha20 == byte-at-a-time reference for arbitrary
     /// data, counters, and two-way splits, including the resumed state.
     #[test]

@@ -239,6 +239,41 @@ fn positions_must_be_finite_and_within_1000_km() {
 }
 
 #[test]
+fn ticks_over_the_duration_are_bounded() {
+    // VALID runs 5 s: a 5 µs tick is the largest count allowed.
+    let with_tick = |tick: &str| {
+        VALID.replace(
+            "duration = \"5s\"",
+            &format!("duration = \"5s\"\ntick = \"{tick}\""),
+        )
+    };
+    assert_eq!(
+        parse_scenario(&with_tick("5us")).unwrap().tick.as_micros(),
+        5
+    );
+    for bad in ["4999ns", "1ns"] {
+        let err = err_of(&with_tick(bad));
+        assert!(
+            err.msg.contains("tick") && err.msg.contains("at most 1000000"),
+            "{bad}: {err}"
+        );
+        assert_eq!(err.span.line, 5, "{bad}: the tick's own line: {err}");
+    }
+    let err = err_of(&with_tick("0s"));
+    assert!(err.msg.contains("tick must be positive"), "{err}");
+    assert_eq!(err.span.line, 5, "{err}");
+
+    // An override: `tick=1ns` on a 2 s run would be 2·10⁹ ticks.
+    let err = load_source(
+        VALID,
+        &["duration=\"2s\"".to_string(), "tick=\"1ns\"".to_string()],
+    )
+    .expect_err("2e9 ticks must be rejected");
+    assert!(err.msg.contains("tick 1ns gives 2000000000 ticks"), "{err}");
+    assert!(err.span.line > 0, "error must carry a source span: {err}");
+}
+
+#[test]
 fn summary_scenarios_need_something_to_run() {
     let err = err_of("name = \"empty\"\n");
     assert!(err.msg.contains("nothing to run"), "{err}");
